@@ -12,7 +12,7 @@ from typing import Iterable
 
 from repro.cleaning.base import CleanReading, StageStats
 from repro.rfid.simulator import RawReading
-from repro.rfid.tags import decode_epc, is_valid_epc
+from repro.rfid.tags import parse_epc
 
 
 class AnomalyFilter:
@@ -28,12 +28,9 @@ class AnomalyFilter:
         output: list[CleanReading] = []
         for reading in readings:
             self.stats.consumed += 1
-            if not is_valid_epc(reading.epc):
-                self.stats.dropped += 1
-                continue
-            tag_id = decode_epc(reading.epc)
-            if self._known_tags is not None and \
-                    tag_id not in self._known_tags:
+            tag_id = parse_epc(reading.epc)
+            if tag_id is None or (self._known_tags is not None
+                                  and tag_id not in self._known_tags):
                 self.stats.dropped += 1
                 continue
             output.append(CleanReading(tag_id, reading.reader_id,

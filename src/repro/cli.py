@@ -100,10 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--shoppers", type=int, default=6)
     demo.add_argument("--shoplifters", type=int, default=2)
     demo.add_argument("--misplacements", type=int, default=2)
-    demo.add_argument("--batch", type=int, default=1, metavar="N",
-                      help="feed cleaned events to the processor in "
-                           "batches of N (1 = per-event path; results "
-                           "are identical either way)")
     demo.add_argument("--shards", type=int, default=1,
                       help="worker shards for the parallel runtime "
                            "(default: 1, classic single-process)")
@@ -414,7 +410,6 @@ def _validate_shard_params(params: dict[str, Any],
 def _build_demo_system(params: dict[str, Any],
                        persistence: PersistenceConfig | None = None,
                        dead_letter_path: str | None = None,
-                       ingest_batch: int = 1,
                        shard_secret: str | None = None) \
         -> tuple[RetailScenario, SaseSystem]:
     """The retail demo stack, reconstructible from a manifest: scenario,
@@ -446,7 +441,7 @@ def _build_demo_system(params: dict[str, Any],
             shedding=params.get("shed", "block"))
     system = SaseSystem(scenario.layout, scenario.ons,
                         sharding=sharding, persistence=persistence,
-                        resilience=resilience, ingest_batch=ingest_batch)
+                        resilience=resilience)
     system.register_monitoring_query("shoplifting", SHOPLIFTING_QUERY)
     system.register_monitoring_query("misplaced",
                                      MISPLACED_INVENTORY_QUERY)
@@ -545,14 +540,9 @@ def _cmd_demo(args: argparse.Namespace, out: TextIO) -> None:
             crash_after=args.crash_after)
     elif args.crash_after is not None:
         raise SaseError("--crash-after requires --data-dir")
-    if args.batch < 1:
-        raise SaseError("--batch must be >= 1")
-    # --batch is deliberately not pinned in the data-dir manifest:
-    # batching is result-identical, so recovery may replay with a
-    # different batch size.
     scenario, system = _build_demo_system(
         params, persistence, dead_letter_path=args.dead_letter,
-        ingest_batch=args.batch, shard_secret=args.shard_secret)
+        shard_secret=args.shard_secret)
     if args.trace_out:
         system.enable_tracing()
     report = system.recover() if persistence is not None else None

@@ -8,19 +8,19 @@ analyzed query — ``compile()``/``exec``-based, not closure trees — and
 builds a :class:`SequenceScanConstruct` subclass whose hot methods are the
 generated functions:
 
-* ``feed`` — the event-type dispatch is unrolled into an ``if``/``elif``
+* ``feed_batch`` — the scan's one event loop (``feed`` is a batch of
+  one).  The event-type dispatch is unrolled into an ``if``/``elif``
   chain; per-component admission (filter pushdown, PAIS key extraction,
   window pruning, RIP-pointer push) is straight-line code with the window,
   partition attribute, and prune interval baked in as constants.  Pushed
   single-variable filters become direct ``event.attributes[...]``
-  comparisons with **zero** ``EvalContext`` allocation.
-* ``feed_batch`` — a generated batch loop over N events sharing one
-  prologue/epilogue: operator counters, the profiling hook lookup, and
-  the group-table load are hoisted out of the loop, so per-event Python
-  dispatch amortises across the batch.  Per-event observable effects
-  (interval pruning, stack-size gauges, match order) are preserved
-  exactly, and an optional ``bounds`` list records the cumulative match
-  count after each event so callers can slice results per event.
+  comparisons with **zero** ``EvalContext`` allocation.  Operator
+  counters, the profiling hook lookup, and the group-table load are
+  hoisted out of the loop, so per-event Python dispatch amortises across
+  the batch.  Per-event observable effects (interval pruning, stack-size
+  gauges, match order) are preserved exactly, and an optional ``bounds``
+  list records the cumulative match count after each event so callers
+  can slice results per event.
 * ``_construct`` — the backward DFS over the instance stacks is unrolled
   into nested ``for`` loops, one per component, operating directly on the
   stack slots (``_timestamps``/``_instances``/``_offset``) with
@@ -379,8 +379,6 @@ def generate_scan_source(analyzed: AnalyzedQuery, *,
         prune_interval=prune_interval,
         kleene_maximal=kleene_maximal, profiling=profiling)
     writer = _Writer()
-    _generate_feed(writer, shape)
-    writer.emit()
     _generate_feed_batch(writer, shape)
     if shape.generated_construct:
         writer.emit()
@@ -394,65 +392,19 @@ def generate_scan_source(analyzed: AnalyzedQuery, *,
     return writer.source()
 
 
-def _emit_event_body(w: _Writer, shape: _ScanShape,
-                     count: str = "self._instance_count") -> None:
-    """The per-event scan body shared by ``feed`` and ``feed_batch``:
-    type dispatch plus per-component admission.  Expects locals
-    ``event``, ``_ts``, ``_groups``, ``_pushed`` (and ``_prof`` when
-    profiling).  *count* names the live-instance counter — the batch
-    loop hoists it into a local."""
+def _emit_event_body(w: _Writer, shape: _ScanShape) -> None:
+    """The per-event scan body of the batch loop: type dispatch plus
+    per-component admission.  Expects locals ``event``, ``_ts``,
+    ``_groups``, ``_pushed``, the hoisted live-instance counter
+    ``_icount`` (and ``_prof`` when profiling)."""
     keyword = "if"
     for event_type, indexes in shape.by_type.items():
         w.emit(f"{keyword} _t == {event_type!r}:")
         keyword = "elif"
         w.depth += 1
         for index in indexes:  # descending
-            _generate_admit(w, shape, index, count)
+            _generate_admit(w, shape, index)
         w.depth -= 1
-
-
-def _generate_feed(w: _Writer, shape: _ScanShape) -> None:
-    w.emit("def feed(self, event):")
-    w.depth += 1
-    w.emit("_op = self._op_stats")
-    w.emit("_op.consumed += 1")
-    if shape.profiling:
-        w.emit("_prof = self._profile")
-    if shape.window is not None:
-        w.emit("_seen = self._events_seen + 1")
-        w.emit("self._events_seen = _seen")
-    else:
-        # No window means _prune_all is a no-op: skip the interval
-        # arithmetic entirely.
-        w.emit("self._events_seen += 1")
-    w.emit("matches = []")
-    w.emit("_ts = event.timestamp")
-    w.emit("_groups = self._groups")
-    w.emit("_pushed = False")
-    w.emit("_t = event.type")
-    _emit_event_body(w, shape)
-    if shape.window is not None:
-        w.emit(f"if _seen % {shape.prune_interval} == 0:")
-        w.emit("    self._prune_all(_ts)")
-    # High-water marks only move on a push (group creation implies one),
-    # and a feed that pushed records *after* any interval prune — exactly
-    # the interpreter's observation point.
-    w.emit("if _pushed:")
-    w.depth += 1
-    w.emit("_stats = self._stats")
-    w.emit("_ic = self._instance_count")
-    w.emit("if _ic > _stats.stack_high_water:")
-    w.emit("    _stats.stack_high_water = _ic")
-    w.emit("_gl = len(_groups)")
-    w.emit("if _gl > _stats.partitions_high_water:")
-    w.emit("    _stats.partitions_high_water = _gl")
-    w.emit("_op.produced += len(matches)")
-    if shape.profiling:
-        w.emit("if _prof is not None:")
-        w.emit("    _prof.matches_emitted += len(matches)")
-    w.depth -= 1
-    w.emit("return matches")
-    w.depth -= 1
 
 
 def _generate_feed_batch(w: _Writer, shape: _ScanShape) -> None:
@@ -468,20 +420,18 @@ def _generate_feed_batch(w: _Writer, shape: _ScanShape) -> None:
     w.emit("_groups = self._groups")
     w.emit("_stats = self._stats")
     w.emit("_icount = self._instance_count")
-    w.emit("_fed = 0")
     # try/finally keeps the written-back counters exception-transparent:
-    # an error escaping event k leaves the same _events_seen /
-    # _instance_count the per-event loop would have.
+    # an error escaping event k leaves the _events_seen /
+    # _instance_count of the events scanned before it.
     w.emit("try:")
     w.depth += 1
     w.emit("for event in events:")
     w.depth += 1
-    w.emit("_fed += 1")
     w.emit("_seen += 1")
     w.emit("_ts = event.timestamp")
     w.emit("_pushed = False")
     w.emit("_t = event.type")
-    _emit_event_body(w, shape, count="_icount")
+    _emit_event_body(w, shape)
     if shape.window is not None:
         w.emit(f"if _seen % {shape.prune_interval} == 0:")
         w.emit("    self._instance_count = _icount")
@@ -498,9 +448,9 @@ def _generate_feed_batch(w: _Writer, shape: _ScanShape) -> None:
     w.depth -= 1
     w.depth -= 1
     w.emit("finally:")
+    w.emit("    _op.consumed += _seen - self._events_seen")
     w.emit("    self._events_seen = _seen")
     w.emit("    self._instance_count = _icount")
-    w.emit("    _op.consumed += _fed")
     w.emit("_op.produced += len(matches)")
     if shape.profiling:
         w.emit("if _prof is not None:")
@@ -509,8 +459,7 @@ def _generate_feed_batch(w: _Writer, shape: _ScanShape) -> None:
     w.depth -= 1
 
 
-def _generate_admit(w: _Writer, shape: _ScanShape, index: int,
-                    count: str = "self._instance_count") -> None:
+def _generate_admit(w: _Writer, shape: _ScanShape, index: int) -> None:
     w.emit(f"# admit into component {index} "
            f"({shape.variables[index]})")
     entry_depth = w.depth
@@ -536,14 +485,13 @@ def _generate_admit(w: _Writer, shape: _ScanShape, index: int,
         key_src = "_NO_PARTITION"
     w.emit(f"_group = _groups.get({key_src})")
     if shape.has_kleene:
-        _emit_admit_pruning(w, shape, index, key_src, count)
+        _emit_admit_pruning(w, shape, index, key_src)
     else:
-        _emit_admit_fast(w, shape, index, key_src, count)
+        _emit_admit_fast(w, shape, index, key_src)
     w.depth = entry_depth
 
 
-def _emit_group_prune(w: _Writer, shape: _ScanShape,
-                      count: str) -> None:
+def _emit_group_prune(w: _Writer, shape: _ScanShape) -> None:
     """The unrolled body of ``StackGroup.prune_before(_ts - window)``:
     one bisect per stack, bulk-delete only when something expired.
     Byte-identical stack state to the interpreter's per-admit prune."""
@@ -556,11 +504,11 @@ def _emit_group_prune(w: _Writer, shape: _ScanShape,
         w.emit("    del _ps._instances[:_pc]")
         w.emit("    del _pst[:_pc]")
         w.emit("    _ps._offset += _pc")
-        w.emit(f"    {count} -= _pc")
+        w.emit("    _icount -= _pc")
 
 
 def _emit_admit_pruning(w: _Writer, shape: _ScanShape, index: int,
-                        key_src: str, count: str) -> None:
+                        key_src: str) -> None:
     """Admission with per-admit front pruning — the exact interpreted
     behaviour, required for Kleene shapes whose binding contents
     enumerate raw stack ranges."""
@@ -571,13 +519,13 @@ def _emit_admit_pruning(w: _Writer, shape: _ScanShape, index: int,
         if shape.window is not None:
             w.emit("else:")
             w.depth += 1
-            _emit_group_prune(w, shape, count)
+            _emit_group_prune(w, shape)
             w.depth -= 1
         w.emit("_s = _group.stacks[0]")
         w.emit("_inst = Instance(event, -1)")
         w.emit("_s._instances.append(_inst)")
         w.emit("_s._timestamps.append(_ts)")
-        w.emit(f"{count} += 1")
+        w.emit("_icount += 1")
         w.emit("_pushed = True")
         if shape.profiling:
             w.emit("if _prof is not None:")
@@ -588,7 +536,7 @@ def _emit_admit_pruning(w: _Writer, shape: _ScanShape, index: int,
         w.emit("if _group is not None:")
         w.depth += 1
         if shape.window is not None:
-            _emit_group_prune(w, shape, count)
+            _emit_group_prune(w, shape)
         w.emit(f"_prev = _group.stacks[{index - 1}]")
         w.emit("_pt = _prev._timestamps")
         w.emit("if _pt and _pt[0] < _ts:")
@@ -597,7 +545,7 @@ def _emit_admit_pruning(w: _Writer, shape: _ScanShape, index: int,
         w.emit("_inst = Instance(event, _prev._offset + len(_pt) - 1)")
         w.emit("_s._instances.append(_inst)")
         w.emit("_s._timestamps.append(_ts)")
-        w.emit(f"{count} += 1")
+        w.emit("_icount += 1")
         w.emit("_pushed = True")
         if shape.profiling:
             w.emit("if _prof is not None:")
@@ -607,7 +555,7 @@ def _emit_admit_pruning(w: _Writer, shape: _ScanShape, index: int,
 
 
 def _emit_admit_fast(w: _Writer, shape: _ScanShape, index: int,
-                     key_src: str, count: str) -> None:
+                     key_src: str) -> None:
     """Admission without per-admit pruning (non-Kleene shapes): pushes
     straight onto the stack slots; staleness is handled by the interval
     prune and the construction window bound (see module docstring)."""
@@ -619,7 +567,7 @@ def _emit_admit_fast(w: _Writer, shape: _ScanShape, index: int,
         w.emit("_inst = Instance(event, -1)")
         w.emit("_s._instances.append(_inst)")
         w.emit("_s._timestamps.append(_ts)")
-        w.emit(f"{count} += 1")
+        w.emit("_icount += 1")
         w.emit("_pushed = True")
         if shape.profiling:
             w.emit("if _prof is not None:")
@@ -637,7 +585,7 @@ def _emit_admit_fast(w: _Writer, shape: _ScanShape, index: int,
         w.emit("_inst = Instance(event, _prev._offset + len(_pt) - 1)")
         w.emit("_s._instances.append(_inst)")
         w.emit("_s._timestamps.append(_ts)")
-        w.emit(f"{count} += 1")
+        w.emit("_icount += 1")
         w.emit("_pushed = True")
         if shape.profiling:
             w.emit("if _prof is not None:")
@@ -924,7 +872,6 @@ def compile_scan(analyzed: AnalyzedQuery, *,
     exec(compile(shape_source, "<sase-codegen>", "exec"), namespace)
 
     members: dict[str, Any] = {
-        "feed": namespace["feed"],
         "feed_batch": namespace["feed_batch"],
         "_filters_fallback": _filters_fallback,
         "compiled": True,

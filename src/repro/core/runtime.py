@@ -1,9 +1,10 @@
 """Query runtime: one live instance of a query plan over a stream.
 
 A :class:`QueryRuntime` is the unit the complex event processor registers
-per continuous query.  ``feed`` pushes one event through the dataflow and
-returns the composite events it produced; ``flush`` ends the stream
-(releasing trailing-negation matches).
+per continuous query.  ``feed_batch_grouped`` pushes a batch of events
+through the dataflow and returns the composite events each one produced
+(``feed`` and ``feed_batch`` are thin views of it); ``flush`` ends the
+stream (releasing trailing-negation matches).
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ class QueryRuntime:
             stats=self.stats, functions=functions, system=system) \
             if plan.needs_negation else None
         # raw_matches: skip the RETURN clause and emit Match objects.
-        # The shared-plan runtime (repro.core.shared) uses this to run one
-        # match pipeline for a whole group of queries, applying each
-        # member's own Transformation as its continuation.
+        # The processor uses this to apply every query's RETURN itself,
+        # in (event, registration) order, and the shared-plan runtime
+        # (repro.core.shared) to run one match pipeline for a whole group
+        # of queries.
         self._transformation = _RawMatches() if raw_matches else \
             Transformation(analyzed, stats=self.stats,
                            functions=functions, system=system)
@@ -91,77 +93,57 @@ class QueryRuntime:
     # -- streaming interface -------------------------------------------------
 
     def feed(self, event: Event) -> list[CompositeEvent]:
-        """Push one event through the plan."""
-        if self._flushed:
-            raise RuntimeError("runtime already flushed; create a new one")
-        self.stats.events_consumed += 1
-        outputs: list[CompositeEvent] = []
-
-        if self._negation is not None:
-            self._negation.observe(event)
-            for match in self._negation.advance(event.timestamp):
-                outputs.append(self._transformation.process(match))
-
-        for match in self._scan.feed(event):
-            survivor = self._apply_filters(match)
-            if survivor is None:
-                continue
-            if self._negation is not None:
-                survivor = self._negation.process(survivor)
-                if survivor is None:
-                    continue  # rejected or buffered for trailing negation
-            outputs.append(self._transformation.process(survivor))
-
-        self.stats.results_emitted += len(outputs)
-        return outputs
+        """Push one event through the plan (a batch of one)."""
+        return self.feed_batch_grouped([event])[0]
 
     def feed_batch(self, events: list[Event]) -> list[CompositeEvent]:
-        """Push a batch of events through the plan in one call.
-
-        Result-identical to feeding the events one by one (the scan's
-        batch loop preserves per-event effects exactly); plans with a
-        negation operator interleave observe/advance per event and so
-        fall back to the per-event path internally.
-        """
-        if self._flushed:
-            raise RuntimeError("runtime already flushed; create a new one")
-        if self._negation is not None:
-            outputs: list[CompositeEvent] = []
-            for event in events:
-                outputs.extend(self.feed(event))
-            return outputs
-        self.stats.events_consumed += len(events)
-        outputs = []
-        for match in self._scan.feed_batch(events):
-            survivor = self._apply_filters(match)
-            if survivor is None:
-                continue
-            outputs.append(self._transformation.process(survivor))
-        self.stats.results_emitted += len(outputs)
-        return outputs
+        """Push a batch of events through the plan in one call,
+        result-identical to feeding them one by one."""
+        return [output for outputs in self.feed_batch_grouped(events)
+                for output in outputs]
 
     def feed_batch_grouped(
             self, events: list[Event]) -> list[list[CompositeEvent]]:
-        """Like :meth:`feed_batch` but returns one result list per input
-        event, for callers that must re-associate outputs with their
-        originating event (sharding workers, cascade delivery)."""
+        """Push a batch of events through the plan; returns one result
+        list per input event.
+
+        The scan runs over the whole batch first (its batch loop keeps
+        per-event effects exact), then each event's matches pass the
+        filters in event order.  Negation interleaves per event: the
+        event is observed and its timestamp advances the watermark
+        (releasing trailing-negation matches first) before that event's
+        own matches are checked, exactly as one-at-a-time feeding does.
+        """
         if self._flushed:
             raise RuntimeError("runtime already flushed; create a new one")
-        if self._negation is not None:
-            return [self.feed(event) for event in events]
         self.stats.events_consumed += len(events)
         bounds: list[int] = []
         matches = self._scan.feed_batch(events, bounds)
+        negation = self._negation
+        if negation is None and not matches:
+            return [[] for _ in events]
+        process = self._transformation.process
         grouped: list[list[CompositeEvent]] = []
         start = 0
         emitted = 0
-        for stop in bounds:
+        for event, stop in zip(events, bounds):
             outputs: list[CompositeEvent] = []
-            for match in matches[start:stop]:
-                survivor = self._apply_filters(match)
+            if stop == start and negation is None:
+                grouped.append(outputs)
+                continue
+            if negation is not None:
+                negation.observe(event)
+                for match in negation.advance(event.timestamp):
+                    outputs.append(process(match))
+            for index in range(start, stop):
+                survivor = self._apply_filters(matches[index])
                 if survivor is None:
                     continue
-                outputs.append(self._transformation.process(survivor))
+                if negation is not None:
+                    survivor = negation.process(survivor)
+                    if survivor is None:
+                        continue  # rejected or buffered for trailing negation
+                outputs.append(process(survivor))
             emitted += len(outputs)
             grouped.append(outputs)
             start = stop
@@ -236,8 +218,8 @@ class QueryRuntime:
     @property
     def scan_coverage(self) -> dict[str, bool]:
         """Which scan layers run generated code vs interpreted fallback:
-        ``compiled`` (the feed path), ``construct`` (the sequence
-        construction walk), ``batch`` (the batch loop)."""
+        ``compiled`` (the scan), ``construct`` (the sequence
+        construction walk), ``batch`` (the event loop)."""
         return {
             "compiled": bool(self._scan.compiled),
             "construct": bool(self._scan.generated_construct),

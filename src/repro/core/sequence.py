@@ -53,7 +53,7 @@ class SequenceScanConstruct:
     #: the interpreted ``_construct`` recursion.
     generated_construct = False
     #: True when ``feed_batch`` is a generated batch loop rather than the
-    #: per-event fallback below.
+    #: interpreted one below.
     generated_batch = False
 
     def __init__(self, analyzed: AnalyzedQuery, *,
@@ -169,23 +169,7 @@ class SequenceScanConstruct:
 
     def feed(self, event: Event) -> list[Match]:
         """Scan one event; return the matches it completes."""
-        self._op_stats.consumed += 1
-        self._events_seen += 1
-        matches: list[Match] = []
-
-        component_indexes = self._components_by_type.get(event.type)
-        if component_indexes:
-            for index in component_indexes:  # presorted descending
-                self._admit(event, index, matches)
-
-        if self._events_seen % self._prune_interval == 0:
-            self._prune_all(event.timestamp)
-        self._stats.record_stack_size(self._instance_count,
-                                      len(self._groups))
-        self._op_stats.produced += len(matches)
-        if self._profile is not None:
-            self._profile.matches_emitted += len(matches)
-        return matches
+        return self.feed_batch([event])
 
     def feed_batch(self, events: list[Event],
                    bounds: list[int] | None = None) -> list[Match]:
@@ -193,14 +177,27 @@ class SequenceScanConstruct:
 
         When *bounds* is given, the cumulative match count is appended
         after each event so the caller can slice the flat result list
-        back into per-event chunks.  The interpreted operator just loops
-        :meth:`feed`; generated subclasses emit a specialised batch loop.
+        back into per-event chunks.  Generated subclasses replace this
+        loop with a specialised one of the same contract.
         """
         matches: list[Match] = []
+        op_stats = self._op_stats
         for event in events:
-            matches.extend(self.feed(event))
+            op_stats.consumed += 1
+            self._events_seen += 1
+            component_indexes = self._components_by_type.get(event.type)
+            if component_indexes:
+                for index in component_indexes:  # presorted descending
+                    self._admit(event, index, matches)
+            if self._events_seen % self._prune_interval == 0:
+                self._prune_all(event.timestamp)
+            self._stats.record_stack_size(self._instance_count,
+                                          len(self._groups))
             if bounds is not None:
                 bounds.append(len(matches))
+        op_stats.produced += len(matches)
+        if self._profile is not None:
+            self._profile.matches_emitted += len(matches)
         return matches
 
     def reset(self) -> None:

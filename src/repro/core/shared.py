@@ -21,8 +21,9 @@ This module implements that sharing behind :class:`SharedPlanConfig`:
   .QueryRuntime` (the Transformation operator replaced by a pass-through)
   and memoizes its output per feed/advance/flush round.
 * :class:`SharedMemberRuntime` is the per-query view the processor holds:
-  it quacks like a ``QueryRuntime`` but delegates match production to the
-  group and applies only its own RETURN clause.
+  it quacks like a raw-match ``QueryRuntime`` but delegates match
+  production to the group; the processor applies the member's own RETURN
+  clause, as it does for every query.
 
 Sharing is safe exactly because the continuation is applied per member in
 the member's registration order — the delivered result stream is
@@ -39,9 +40,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.match import Match
-from repro.core.operators import Transformation
 from repro.core.runtime import QueryRuntime
-from repro.events.event import CompositeEvent, Event
+from repro.events.event import Event
 from repro.lang.ast import (
     AggregateCall,
     AttributeRef,
@@ -93,18 +93,6 @@ def _render(expr: Expr, rename: dict[str, str]) -> str:
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
-def _calls_functions(expr: Expr) -> bool:
-    if isinstance(expr, FunctionCall):
-        return True
-    if isinstance(expr, BinaryOp):
-        return _calls_functions(expr.left) or _calls_functions(expr.right)
-    if isinstance(expr, UnaryOp):
-        return _calls_functions(expr.operand)
-    if isinstance(expr, AggregateCall):
-        return expr.arg is not None and _calls_functions(expr.arg)
-    return False
-
-
 def _predicate_block(infos: list[PredicateInfo],
                      rename: dict[str, str]) -> tuple[str, ...]:
     return tuple(_render(info.expr, rename) for info in infos)
@@ -115,16 +103,8 @@ def plan_signature(analyzed: AnalyzedQuery, config: Any,
     """The canonical match-plan identity of a query, or None when the
     query must not be shared.  Two queries with equal signatures produce
     identical pre-RETURN match streams over any input."""
-    all_predicates: list[PredicateInfo] = \
-        list(analyzed.selection_predicates)
-    for infos in analyzed.component_filters.values():
-        all_predicates.extend(infos)
-    for infos in analyzed.negation_predicates.values():
-        all_predicates.extend(infos)
-    for infos in analyzed.kleene_predicates.values():
-        all_predicates.extend(infos)
     if not shared.share_function_queries and \
-            any(_calls_functions(info.expr) for info in all_predicates):
+            analyzed.where_calls_functions:
         return None
 
     rename = {component.variable: f"v{index}"
@@ -170,12 +150,12 @@ class SharedGroup:
 
     The group memoizes the pipeline's output per *round*: the first
     member the processor feeds in a dispatch round runs the pipeline,
-    every other member reuses the cached matches and pays only its own
-    RETURN clause.  Rounds are keyed by event identity for ``feed`` and
-    by watermark value for ``advance``; a member that re-appears under an
-    unchanged key starts a new round (the pipeline is monotone, so a
-    repeated ``advance`` at the same watermark yields the empty list both
-    shared and independent).
+    every other member reuses the cached matches.  Rounds are keyed by
+    the identities of the fed events for ``feed`` and by watermark value
+    for ``advance``; a member that re-appears under an unchanged key
+    starts a new round (the pipeline is monotone, so a repeated
+    ``advance`` at the same watermark yields the empty list both shared
+    and independent).
     """
 
     def __init__(self, signature: tuple, pipeline: QueryRuntime):
@@ -198,11 +178,9 @@ class SharedGroup:
         own registration, which independent evaluation never produces."""
         return self.events_consumed == 0 and not self.pipeline.flushed
 
-    def add_member(self, name: str, analyzed: AnalyzedQuery,
-                   functions: Any = None,
-                   system: Any = None) -> "SharedMemberRuntime":
-        member = SharedMemberRuntime(self, name, analyzed,
-                                     functions=functions, system=system)
+    def add_member(self, name: str,
+                   analyzed: AnalyzedQuery) -> "SharedMemberRuntime":
+        member = SharedMemberRuntime(self, name, analyzed)
         self.members[name] = member
         return member
 
@@ -210,16 +188,14 @@ class SharedGroup:
         self.members.pop(name, None)
         self._consumed.discard(name)
 
-    def _matches(self, member: str, kind: str, key: Any) -> list:
-        stale = (self._kind != kind
-                 or member in self._consumed
-                 or (self._key is not key if kind == "feed"
-                     else self._key != key))
-        if stale:
+    def _matches(self, member: str, kind: str, arg: Any) -> list:
+        key = tuple(map(id, arg)) if kind == "feed" else arg
+        if self._kind != kind or member in self._consumed \
+                or self._key != key:
             if kind == "feed":
-                self._cached = self.pipeline.feed(key)
+                self._cached = self.pipeline.feed_batch_grouped(arg)
             elif kind == "advance":
-                self._cached = self.pipeline.advance(key)
+                self._cached = self.pipeline.advance(arg)
             else:
                 self._cached = self.pipeline.flush()
             self._kind, self._key = kind, key
@@ -229,18 +205,15 @@ class SharedGroup:
 
 
 class SharedMemberRuntime:
-    """Per-query view over a :class:`SharedGroup`: group matches plus
-    this query's own RETURN continuation.  Implements the parts of the
+    """Per-query view over a :class:`SharedGroup`: the group's raw
+    matches with this query's variable names.  The processor applies the
+    query's own RETURN continuation.  Implements the parts of the
     ``QueryRuntime`` surface the processor and the exporters touch."""
 
     def __init__(self, group: SharedGroup, name: str,
-                 analyzed: AnalyzedQuery, functions: Any = None,
-                 system: Any = None):
+                 analyzed: AnalyzedQuery):
         self.group = group
         self.name = name
-        self._transformation = Transformation(
-            analyzed, stats=group.pipeline.stats, functions=functions,
-            system=system)
         # The pipeline binds the *representative's* variable names; this
         # member's RETURN clause (and its results' provenance bindings)
         # use its own.  Signatures align components positionally, so the
@@ -252,41 +225,31 @@ class SharedMemberRuntime:
         self._rename = None if all(key == value for key, value
                                    in rename.items()) else rename
 
-    def _localize(self, match: Match) -> Match:
+    def _localize(self, matches: list[Match]) -> list[Match]:
         rename = self._rename
         if rename is None:
-            return match
-        return Match({rename[variable]: binding
-                      for variable, binding in match.bindings.items()},
-                     match.start, match.end)
+            return matches
+        return [Match({rename[variable]: binding
+                       for variable, binding in match.bindings.items()},
+                      match.start, match.end) for match in matches]
 
-    def feed(self, event: Event) -> list[CompositeEvent]:
-        process = self._transformation.process
-        return [process(self._localize(match))
-                for match in self.group._matches(self.name, "feed", event)]
+    def feed(self, event: Event) -> list[Match]:
+        return self.feed_batch_grouped([event])[0]
 
-    def feed_batch(self, events: list[Event]) -> list[CompositeEvent]:
-        """Per-event loop: the shared pipeline memoizes group matches by
-        event identity, so members must observe events one at a time to
-        keep the single-scan-per-event guarantee."""
-        outputs: list[CompositeEvent] = []
-        for event in events:
-            outputs.extend(self.feed(event))
-        return outputs
+    def feed_batch(self, events: list[Event]) -> list[Match]:
+        return [match for matches in self.feed_batch_grouped(events)
+                for match in matches]
 
-    def feed_batch_grouped(
-            self, events: list[Event]) -> list[list[CompositeEvent]]:
-        return [self.feed(event) for event in events]
+    def feed_batch_grouped(self, events: list[Event]) -> list[list[Match]]:
+        return [self._localize(matches) for matches in
+                self.group._matches(self.name, "feed", events)]
 
-    def advance(self, watermark: float) -> list[CompositeEvent]:
-        process = self._transformation.process
-        return [process(self._localize(match)) for match in
-                self.group._matches(self.name, "advance", watermark)]
+    def advance(self, watermark: float) -> list[Match]:
+        return self._localize(
+            self.group._matches(self.name, "advance", watermark))
 
-    def flush(self) -> list[CompositeEvent]:
-        process = self._transformation.process
-        return [process(self._localize(match))
-                for match in self.group._matches(self.name, "flush", None)]
+    def flush(self) -> list[Match]:
+        return self._localize(self.group._matches(self.name, "flush", ()))
 
     # -- QueryRuntime surface (delegated to the shared pipeline) -------------
 

@@ -115,6 +115,18 @@ class AnalyzedQuery:
     def has_kleene(self) -> bool:
         return any(component.kleene for component in self.components)
 
+    @property
+    def where_calls_functions(self) -> bool:
+        """True when a WHERE conjunct, whichever operator evaluates it,
+        calls an external function, which may read mutable system state
+        such as the event database."""
+        conjuncts = list(self.selection_predicates)
+        for block in (self.component_filters, self.negation_predicates,
+                      self.kleene_predicates):
+            for infos in block.values():
+                conjuncts.extend(infos)
+        return any(_calls_functions(info.expr) for info in conjuncts)
+
     def negation_layout(self) -> list[tuple[PatternComponent, int, int]]:
         """For each negated component, its neighbouring positive positions.
 
@@ -131,6 +143,18 @@ class AnalyzedQuery:
             else:
                 positive_position += 1
         return layout
+
+
+def _calls_functions(expr: Expr) -> bool:
+    if isinstance(expr, FunctionCall):
+        return True
+    if isinstance(expr, BinaryOp):
+        return _calls_functions(expr.left) or _calls_functions(expr.right)
+    if isinstance(expr, UnaryOp):
+        return _calls_functions(expr.operand)
+    if isinstance(expr, AggregateCall):
+        return expr.arg is not None and _calls_functions(expr.arg)
+    return False
 
 
 def analyze(query: Query, registry: SchemaRegistry) -> AnalyzedQuery:

@@ -296,13 +296,14 @@ class PersistenceManager:
         return False
 
     def _install_hot_path(self) -> None:
-        """Fuse the WAL append into ``processor.feed`` (see
-        ``set_persistence_hooks``).  Installed only once recovery has
-        finished, so replayed events are never re-logged; removed on
-        close so nothing appends to a closed log.
+        """Fuse the WAL append into the processor's feed dataflow (see
+        ``set_persistence_hooks``): every live batch is logged, one LSN
+        per event, before any of it is processed.  Installed only once
+        recovery has finished, so replayed events are never re-logged;
+        removed on close so nothing appends to a closed log.
 
-        The normal hook is the WAL's event-mode append — for
-        ``every_n`` literally ``deque.append``, with encoding, the
+        The normal hook is the WAL's event-mode batch append — for
+        ``every_n`` literally ``deque.extend``, with encoding, the
         write, the fsync, and horizon tracking all on the group-commit
         thread.  Fault injection (``crash_after``) needs the disk state
         at the crash point to be exactly reproducible, so it takes the
@@ -328,16 +329,17 @@ class PersistenceManager:
         else:
             append = self._wal.append
 
-            def hook(event: Event) -> None:
-                lsn = append((event.type, event.timestamp,
-                              event.attributes, event.seq))
-                if not lsn & 7:   # horizon tracking is sampled
-                    track(lsn, event.timestamp)
-                if lsn + 1 >= crash_at:
-                    self._hard_crash()
+            def hook(events: list) -> None:
+                for event in events:
+                    lsn = append((event.type, event.timestamp,
+                                  event.attributes, event.seq))
+                    if not lsn & 7:   # horizon tracking is sampled
+                        track(lsn, event.timestamp)
+                    if lsn + 1 >= crash_at:
+                        self._hard_crash()
 
         # With checkpoints disabled the cadence never fires; skip the
-        # per-event callback entirely rather than count toward nothing.
+        # per-batch callback entirely rather than count toward nothing.
         post = self.after_feed if self._cadence != float("inf") else None
         self._processor.set_persistence_hooks(hook, post)
 
@@ -354,11 +356,14 @@ class PersistenceManager:
             "call recover() after registering queries and before "
             "the first event")
 
-    def after_feed(self) -> tuple | list[tuple[str, CompositeEvent]]:
-        """Bookkeeping after one live event: trigger a periodic
-        checkpoint when due; returns any matches its drain barrier
-        forced out (they are part of the stream's results)."""
-        count = self._events_since_ckpt + 1
+    def after_feed(self, events: int) \
+            -> tuple | list[tuple[str, CompositeEvent]]:
+        """Bookkeeping after one live batch of *events*: trigger a
+        periodic checkpoint when due — checkpoints fall on batch
+        boundaries, the first one at or past the cadence; returns any
+        matches its drain barrier forced out (they are part of the
+        stream's results)."""
+        count = self._events_since_ckpt + events
         self._events_since_ckpt = count
         if count < self._cadence:
             return ()

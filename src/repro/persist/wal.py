@@ -18,8 +18,9 @@ Two write paths share that format:
   be exactly reproducible.
 
 * The **event path** (:meth:`start_event_mode`) is the live hot path.
-  The returned hook *is* ``deque.append`` — a single C call, no Python
-  frame — and a background group-commit thread lingers a few
+  The returned hook takes a whole batch of events and *is*
+  ``deque.extend`` — a single C call, no Python frame, however large
+  the batch — and a background group-commit thread lingers a few
   milliseconds, drains whatever queued, and writes it as
   ``group_items``-sized frames, fsyncing per the policy interval.  The
   fsync is pure I/O wait, so even on one core it overlaps with the
@@ -234,23 +235,24 @@ class WriteAheadLog:
 
     def start_event_mode(self, extract: Callable[[list], list],
                          on_seal: Callable[[int, Any], None]
-                         | None = None) -> Callable[[Any], None]:
-        """Switch the log to its event hot path and return the
-        per-event append hook.
+                         | None = None) -> Callable[[list], None]:
+        """Switch the log to its event hot path and return the batch
+        append hook: called with a list of events, it appends them all,
+        one LSN each, in list order.
 
         *extract* maps a batch of appended objects to their
         ``marshal``-serializable items at seal time, so the hook itself
-        stores only a reference.  *on_seal* (optional) is called after
+        stores only references.  *on_seal* (optional) is called after
         each sealed group with ``(last_lsn, last_object)`` — under
         ``every_n`` it runs on the writer thread and must be cheap and
         thread-agnostic.
 
-        For ``every_n`` the hook is literally ``deque.append`` and a
+        For ``every_n`` the hook is literally ``deque.extend`` and a
         background thread group-commits the queue (see the module
         docstring); for ``never``/``always`` sealing stays synchronous
-        in the foreground.  The generic :meth:`append` is disabled once
-        event mode starts — the two paths assign LSNs differently and
-        must not interleave.
+        in the foreground, one group at a time.  The generic
+        :meth:`append` is disabled once event mode starts — the two
+        paths assign LSNs differently and must not interleave.
         """
         if self._extract is not None:
             raise PersistenceError("event mode already started")
@@ -262,17 +264,18 @@ class WriteAheadLog:
             group_items = self._group_items
             seal = self._seal
 
-            def fast_append(event: Any) -> None:
-                pending.append(event)
-                if len(pending) >= group_items:
-                    seal()
+            def append_batch(events: list) -> None:
+                for event in events:
+                    pending.append(event)
+                    if len(pending) >= group_items:
+                        seal()
 
-            return fast_append
+            return append_batch
         self._queue = deque()
         self._writer = threading.Thread(
             target=self._writer_loop, name="wal-writer", daemon=True)
         self._writer.start()
-        return self._queue.append
+        return self._queue.extend
 
     def _writer_loop(self) -> None:
         """The group-commit thread: linger, drain the queue, write it

@@ -31,19 +31,29 @@ def encode_epc(tag_id: int) -> str:
     return f"{EPC_PREFIX}{serial}{_checksum(serial):0{_CHECK_WIDTH}d}"
 
 
-def is_valid_epc(epc: str) -> bool:
-    """True when *epc* is well-formed and its checksum verifies."""
+def parse_epc(epc: str) -> int | None:
+    """The tag id *epc* encodes, or None when it is malformed or its
+    checksum fails — one validation pass for callers that need both
+    answers."""
     if len(epc) != EPC_LENGTH or not epc.startswith(EPC_PREFIX):
-        return False
+        return None
     serial = epc[len(EPC_PREFIX):len(EPC_PREFIX) + _SERIAL_WIDTH]
     check = epc[len(EPC_PREFIX) + _SERIAL_WIDTH:]
     if not (serial.isdigit() and check.isdigit()):
-        return False
-    return _checksum(serial) == int(check)
+        return None
+    if _checksum(serial) != int(check):
+        return None
+    return int(serial)
+
+
+def is_valid_epc(epc: str) -> bool:
+    """True when *epc* is well-formed and its checksum verifies."""
+    return parse_epc(epc) is not None
 
 
 def decode_epc(epc: str) -> int:
     """Decode a validated EPC back to its tag id."""
-    if not is_valid_epc(epc):
+    tag_id = parse_epc(epc)
+    if tag_id is None:
         raise ValueError(f"invalid EPC {epc!r}")
-    return int(epc[len(EPC_PREFIX):len(EPC_PREFIX) + _SERIAL_WIDTH])
+    return tag_id

@@ -1,6 +1,6 @@
 """The shard router: partition-aware fan-out with deterministic merge.
 
-The router sits between :meth:`ComplexEventProcessor.feed` and the shard
+The router sits between the processor's feed dataflow and the shard
 workers.  Per fed event it
 
 1. assigns a global arrival number (*seq*),
@@ -137,48 +137,34 @@ class ShardRouter:
 
     # -- feeding --------------------------------------------------------------
 
-    def feed(self, event: Event, stream: str) \
-            -> list[tuple[str, CompositeEvent]]:
-        if self._flushed:
-            raise SaseError("sharded stream already flushed")
-        seq = self._next_seq
-        self._next_seq += 1
-        state = _SeqState(stream)
-        self._seq_states[seq] = state
-        if self._backend is not None and stream == self._default_stream:
-            self._route(seq, event)
-        if self._local_names:
-            state.local = self._processor._run_queries(
-                event, stream, only=self._local_names)
-        if self._backend is not None:
-            self._handle(self._backend.poll())
-        return self._emit_ready()
-
     def feed_batch(self, events: list[Event], stream: str) \
             -> list[tuple[str, CompositeEvent]]:
-        """Route a batch of events, then poll and emit once.
+        """Route a batch of events, run the local queries over it, then
+        poll and emit once.
 
-        Per-event routing (seq assignment, partition hashing, batch
-        sealing, local queries) is identical to N :meth:`feed` calls —
-        router batching and caller batching compose instead of
-        double-buffering — but the backend poll and the ordered emission
-        run once per batch instead of once per event, shrinking the
-        coordinator's per-event framing cost.
+        Each event gets its own seq and is routed (partition hashing,
+        batch sealing) exactly as if fed alone — router batching and
+        caller batching compose instead of double-buffering — but the
+        backend poll and the ordered emission run once per batch,
+        shrinking the coordinator's per-event framing cost.
         """
         if self._flushed:
             raise SaseError("sharded stream already flushed")
         route = self._backend is not None and stream == self._default_stream
-        local_names = self._local_names
-        run_local = self._processor._run_queries
+        states: list[_SeqState] = []
         for event in events:
             seq = self._next_seq
             self._next_seq += 1
             state = _SeqState(stream)
             self._seq_states[seq] = state
+            states.append(state)
             if route:
                 self._route(seq, event)
-            if local_names:
-                state.local = run_local(event, stream, only=local_names)
+        if self._local_names:
+            local = self._processor._dataflow(events, stream,
+                                              only=self._local_names)
+            for slot, bucket in local.items():
+                states[slot].local = bucket
         if self._backend is not None:
             self._handle(self._backend.poll())
         return self._emit_ready()

@@ -101,56 +101,25 @@ class ShardWorkerCore:
 
     def process_batch(self, entries: list) -> tuple[list, list, list]:
         """Run one routed batch; returns (tagged results, metrics delta,
-        shipped trace spans)."""
-        tracer = self._tracer
-        if tracer is None:
-            # Untraced shards take the batched scan path: consecutive
-            # event entries bound for the same groups fuse into one
-            # feed_batch call per group processor.
-            return self._process_batch_batched(entries), \
-                self._metrics_delta(), []
-        tagged: list = []
-        for entry in entries:
-            opcode = entry[0]
-            counters: dict[tuple[int, int], int] = {}
-            if tracer is not None:
-                # The router's seq IS the coordinator's trace id: both
-                # count feeds from zero, so pinning seq lands worker
-                # spans in the right trace.
-                tracer.pin(entry[1])
-            if opcode == EVENT_ENTRY:
-                _, seq, event, group_ids = entry
-                for group_id in group_ids:
-                    produced = self._processors[group_id].feed(event)
-                    self._tag(tagged, produced, seq, event.timestamp,
-                              counters)
-            elif opcode == WATERMARK_ENTRY:
-                _, seq, timestamp, group_ids = entry
-                for group_id in group_ids:
-                    produced = self._processors[group_id] \
-                        .advance_time(timestamp)
-                    for name, result in produced:
-                        rank = self._rank_of[name]
-                        idx = counters.get((rank, RELEASED), 0)
-                        counters[(rank, RELEASED)] = idx + 1
-                        tagged.append((seq, rank, RELEASED, result.end,
-                                       idx, result))
-        if tracer is not None:
-            tracer.unpin()
-            return tagged, self._metrics_delta(), tracer.drain_shipment()
-        return tagged, self._metrics_delta(), []
+        shipped trace spans).
 
-    def _process_batch_batched(self, entries: list) -> list:
-        """The fused batch path: runs of consecutive event entries with
-        identical group routing feed each group processor once, so the
-        per-event dispatch/metrics overhead amortizes across the run.
-        Tag coordinates (seq, rank, kind, idx) are computed per event
-        exactly as the per-entry loop computes them."""
+        Runs of consecutive event entries with identical group routing
+        feed each group processor once, so the per-event dispatch and
+        metrics overhead amortizes across the run.  A traced shard steps
+        one entry at a time instead, pinning the entry's seq — the
+        coordinator's trace id for that event, since both count feeds
+        from zero — so worker spans land in the right trace.  Tag
+        coordinates (seq, rank, kind, idx) are computed per event either
+        way.
+        """
+        tracer = self._tracer
         tagged: list = []
         index = 0
         total = len(entries)
         while index < total:
             entry = entries[index]
+            if tracer is not None:
+                tracer.pin(entry[1])
             if entry[0] != EVENT_ENTRY:
                 _, seq, timestamp, group_ids = entry
                 counters: dict[tuple[int, int], int] = {}
@@ -167,9 +136,10 @@ class ShardWorkerCore:
                 continue
             group_ids = entry[3]
             stop = index + 1
-            while stop < total and entries[stop][0] == EVENT_ENTRY \
-                    and entries[stop][3] == group_ids:
-                stop += 1
+            if tracer is None:
+                while stop < total and entries[stop][0] == EVENT_ENTRY \
+                        and entries[stop][3] == group_ids:
+                    stop += 1
             run = entries[index:stop]
             events = [item[2] for item in run]
             run_counters: list[dict[tuple[int, int], int]] = \
@@ -183,7 +153,10 @@ class ShardWorkerCore:
                                   events[slot].timestamp,
                                   run_counters[slot])
             index = stop
-        return tagged
+        if tracer is None:
+            return tagged, self._metrics_delta(), []
+        tracer.unpin()
+        return tagged, self._metrics_delta(), tracer.drain_shipment()
 
     def _tag(self, tagged: list, produced: list, seq: int,
              event_time: float, counters: dict) -> None:

@@ -21,12 +21,14 @@ the classic synchronous single-process behaviour.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
 import time
 
 from repro.core.engine import CompiledQuery, Engine
+from repro.core.operators import Transformation
 from repro.core.plan import PlanConfig
 from repro.core.runtime import QueryRuntime
 from repro.core.shared import SharedGroup, SharedMemberRuntime, \
@@ -44,6 +46,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ResultCallback = Callable[[str, CompositeEvent], None]
 
 
+def _feed_run(runtime: Any, events: list[Event], slots: list[int],
+              found: dict[int, list]) -> int:
+    """Feed the events at *slots* to *runtime* as one batch, keeping each
+    non-empty match list under its slot in *found*; returns the number
+    fed."""
+    batch = events if len(slots) == len(events) \
+        else [events[slot] for slot in slots]
+    for slot, matches in zip(slots, runtime.feed_batch_grouped(batch)):
+        if matches:
+            found[slot] = matches
+    return len(slots)
+
+
 class QueryKind(enum.Enum):
     MONITORING = "monitoring"
     ARCHIVING_RULE = "archiving rule"
@@ -56,7 +71,11 @@ class RegisteredQuery:
     name: str
     kind: QueryKind
     compiled: CompiledQuery
+    # The match pipeline: raw matches, RETURN not applied.
     runtime: QueryRuntime | SharedMemberRuntime
+    # The RETURN clause, applied by the processor in (event,
+    # registration) order.
+    returns: Transformation
     on_result: ResultCallback | None
     results_produced: int = 0
     # The shared-plan group evaluating this query's match pipeline, or
@@ -128,6 +147,10 @@ class ComplexEventProcessor:
         self._use_dispatch_index = use_dispatch_index
         self._dispatch_cache: dict[
             tuple[str, str], list[tuple[RegisteredQuery, bool]]] = {}
+        # What forces the dataflow to step one event at a time (see
+        # _steps); None until derived from the current query set.
+        self._where_calls_functions = False
+        self._into_streams: frozenset[str] | None = None
         # Observability (all opt-in; the hot path pays one None check
         # per hook when disabled).
         self._tracer: DataflowTracer | None = None
@@ -136,14 +159,14 @@ class ComplexEventProcessor:
         # suppression during crash recovery).
         self._delivery_filter: Callable[[str, CompositeEvent],
                                         bool] | None = None
-        # Persistence write path, fused into feed() so durability costs
-        # no extra per-event calls in host loops (one None check each
-        # when persistence is off).
-        self._persist_log: Callable[[Event], Any] | None = None
-        self._persist_post: Callable[[], Any] | None = None
-        # True while a feed_batch is executing: registration changes are
-        # rejected so delivery never looks up a query a mid-batch
-        # callback removed.
+        # Persistence write path, fused into the feed dataflow so
+        # durability costs no extra calls in host loops (one None check
+        # each when persistence is off).
+        self._persist_log: Callable[[list[Event]], Any] | None = None
+        self._persist_post: Callable[[int], Any] | None = None
+        # True while a feed is executing: registration changes are
+        # rejected so delivery never looks up a query a callback
+        # removed.
         self._in_batch = False
 
     @property
@@ -215,7 +238,7 @@ class ComplexEventProcessor:
         if self._in_batch:
             raise SaseError(
                 "cannot register a query while a batch feed is in flight; "
-                "register between batches")
+                "register between feeds")
         if name in self._queries:
             raise SaseError(f"a query named {name!r} is already registered")
         if self._router is not None:
@@ -225,26 +248,36 @@ class ComplexEventProcessor:
         compiled = query if isinstance(query, CompiledQuery) \
             else self._engine.compile(query, config)
         runtime, group = self._build_runtime(name, compiled)
+        returns = Transformation(
+            compiled.analyzed, stats=runtime.stats,
+            functions=self._engine.functions, system=self._engine.system)
         registered = RegisteredQuery(
             name=name, kind=kind, compiled=compiled, runtime=runtime,
-            on_result=on_result, shared_group=group)
+            returns=returns, on_result=on_result, shared_group=group)
         self._queries[name] = registered
-        self._dispatch_cache.clear()
+        self._query_set_changed()
         self._notify_lifecycle("register", registered)
         return registered
+
+    def _query_set_changed(self) -> None:
+        """Drop everything derived from the query set; it is rebuilt on
+        the next feed."""
+        self._dispatch_cache.clear()
+        self._into_streams = None
 
     def _build_runtime(self, name: str, compiled: CompiledQuery) \
             -> tuple[QueryRuntime | SharedMemberRuntime,
                      SharedGroup | None]:
-        """An independent runtime, or a member of a shared-plan group
-        when sharing is on and the query's match plan is shareable."""
-        if self._shared is None or \
-                (self._sharding is not None and self._sharding.active):
-            return self._engine.runtime(compiled), None
-        signature = plan_signature(compiled.analyzed, compiled.plan.config,
-                                   self._shared)
+        """The query's raw-match pipeline: an independent runtime, or a
+        member of a shared-plan group when sharing is on and the query's
+        match plan is shareable."""
+        signature = None
+        if self._shared is not None and not self._sharded:
+            signature = plan_signature(compiled.analyzed,
+                                       compiled.plan.config, self._shared)
         if signature is None:
-            return self._engine.runtime(compiled), None
+            return QueryRuntime(compiled.plan, self._engine.functions,
+                                self._engine.system, raw_matches=True), None
         group = self._shared_groups.get(signature)
         if group is None or not group.joinable:
             # A warm group is never joined: its pipeline already holds
@@ -253,10 +286,7 @@ class ComplexEventProcessor:
                                     self._engine.system, raw_matches=True)
             group = SharedGroup(signature, pipeline)
             self._shared_groups[signature] = group
-        member = group.add_member(name, compiled.analyzed,
-                                  functions=self._engine.functions,
-                                  system=self._engine.system)
-        return member, group
+        return group.add_member(name, compiled.analyzed), group
 
     def compile(self, query: str,
                 config: PlanConfig | None = None) -> CompiledQuery:
@@ -283,7 +313,7 @@ class ComplexEventProcessor:
         if self._in_batch:
             raise SaseError(
                 "cannot deregister a query while a batch feed is in "
-                "flight; deregister between batches")
+                "flight; deregister between feeds")
         if name not in self._queries:
             raise SaseError(f"no query named {name!r} is registered")
         if self._router is not None:
@@ -302,7 +332,7 @@ class ComplexEventProcessor:
         # where the per-query stream state (stacks, partitions, buffered
         # negations) lives.
         registered.runtime = None  # type: ignore[assignment]
-        self._dispatch_cache.clear()
+        self._query_set_changed()
         self.metrics.forget(name)
         self._notify_lifecycle("deregister", registered)
 
@@ -360,123 +390,283 @@ class ComplexEventProcessor:
     def feed(self, event: Event,
              stream: str = DEFAULT_STREAM) \
             -> list[tuple[str, CompositeEvent]]:
-        """Push one event through every query reading *stream*, cascading
-        INTO-published composite events to their consumers; returns the
-        (query name, result) pairs produced and fires callbacks.
+        """Push one event through every query reading *stream*: a batch
+        of one (see :meth:`feed_batch`).  Returns the (query name,
+        result) pairs produced and fires callbacks.
 
         Under an active sharding configuration the event is handed to the
         shard router instead; the returned results are then the merged,
         deterministically ordered results that have become complete so far
         (asynchronous backends may emit them on a later feed or at flush).
         """
+        return self._feed([event], stream).get(0, [])
+
+    def feed_many(self, events: Iterable[Event]) \
+            -> list[tuple[str, CompositeEvent]]:
+        """Alias of :meth:`feed_batch` on the default stream."""
+        return self.feed_batch(events)
+
+    def feed_batch(self, events: Iterable[Event],
+                   stream: str = DEFAULT_STREAM) \
+            -> list[tuple[str, CompositeEvent]]:
+        """Push a batch of events through every query reading *stream*
+        in one call, result-identical to feeding them one at a time
+        (same results, same order, same RETURN side effects).
+
+        Delivery callbacks fire after the batch is processed, and
+        registration changes from inside a callback are rejected.
+        """
+        events = list(events)
+        if not events:
+            return []
+        found = self._feed(events, stream)
+        if len(found) == 1:
+            return next(iter(found.values()))
+        return [pair for bucket in found.values() for pair in bucket]
+
+    def feed_batch_grouped(self, events: list[Event],
+                           stream: str = DEFAULT_STREAM) \
+            -> list[list[tuple[str, CompositeEvent]]]:
+        """Like :meth:`feed_batch` but returns one result list per input
+        event — shard workers use this to tag results with the arrival
+        number of the event that produced them.  Not available under an
+        active sharding configuration (the router owns event order)."""
+        if not events:
+            return []
+        if self._sharded:
+            raise SaseError(
+                "feed_batch_grouped is for synchronous processors; "
+                "the sharded path groups by seq in the router")
+        found = self._feed(events, stream)
+        return [found.get(slot, []) for slot in range(len(events))]
+
+    @property
+    def _sharded(self) -> bool:
+        return self._sharding is not None and self._sharding.active
+
+    def _feed(self, events: list[Event], stream: str) \
+            -> dict[int, list[tuple[str, CompositeEvent]]]:
+        """The one dataflow behind every feed entry point.
+
+        The WAL hook logs the whole batch before any of it is processed.
+        The batch then runs as one chunk, or one event at a time when
+        batching would be observable (see :meth:`_steps`).  Returns the
+        delivered results by event slot, in slot order, for the slots
+        that produced any (under sharding, where the router owns event
+        order, by the last slot of each chunk); matches a due
+        checkpoint's drain barrier releases join the last slot.
+        """
         log = self._persist_log
         if log is not None:
-            log(event)   # WAL-before-processing
-        if self._tracer is not None:
-            self._tracer.begin(event, stream=stream)
-        if self._sharding is not None and self._sharding.active:
-            router = self._ensure_router()
-            emitted = router.feed(event, stream)
-        else:
-            emitted = self._run_queries(event, stream)
-        results = self._deliver_all(emitted)
+            log(events)   # WAL-before-processing
+        tracer = self._tracer
+        router = self._ensure_router() if self._sharded else None
+        step = 1 if self._steps(stream) else len(events)
+        found: dict[int, list[tuple[str, CompositeEvent]]] = {}
+        outer = self._in_batch
+        self._in_batch = True
+        try:
+            for start in range(0, len(events), step):
+                chunk = events[start:start + step] if step == 1 else events
+                if tracer is not None:
+                    tracer.begin(chunk[0], stream=stream)
+                if router is not None:
+                    delivered = self._deliver_all(
+                        router.feed_batch(chunk, stream))
+                    if delivered:
+                        found[start + len(chunk) - 1] = delivered
+                    continue
+                for slot, bucket in self._dataflow(chunk, stream).items():
+                    found[start + slot] = self._deliver_all(bucket)
+        finally:
+            self._in_batch = outer
         post = self._persist_post
         if post is not None:
-            released = post()   # a due checkpoint's drain barrier
+            released = post(len(events))   # a due checkpoint's barrier
             if released:
-                results.extend(released)
-        return results
+                found.setdefault(len(events) - 1, []).extend(released)
+        return found
 
-    def _run_queries(self, event: Event, stream: str,
-                     only: frozenset | set | None = None) \
-            -> list[tuple[str, CompositeEvent]]:
-        """The synchronous dataflow: feed *event* to every query reading
-        *stream* (restricted to *only* when given), cascading composite
-        events.  Results are returned, not delivered.
+    def _steps(self, stream: str) -> bool:
+        """True when *stream* must be fed one event at a time: a
+        per-event observer is installed (tracer, slow-feed log), a
+        registered query's WHERE calls a function (it may read what an
+        earlier event's RETURN wrote), or a query publishes INTO
+        *stream* (its composites must reach the stream's readers before
+        the next input event does)."""
+        if self._into_streams is None:
+            queries = self._queries.values()
+            self._where_calls_functions = any(
+                registered.compiled.analyzed.where_calls_functions
+                for registered in queries)
+            self._into_streams = frozenset(
+                registered.output_stream for registered in queries
+                if registered.output_stream is not None)
+        return self._tracer is not None or self._slow_log is not None \
+            or self._where_calls_functions or stream in self._into_streams
 
-        With the dispatch index enabled, only queries whose pattern
-        mentions the event's type (positively or under negation) are fed;
-        negation queries that skip the event still receive its timestamp
-        as a watermark so trailing-negation matches release at the same
-        stream time either way.
+    def _dataflow(self, events: list[Event], stream: str,
+                  only: frozenset | set | None = None) \
+            -> dict[int, list[tuple[str, CompositeEvent]]]:
+        """Run *events* through every query reading *stream* (restricted
+        to *only* when given); returns the results by event slot, in slot
+        order, for the slots that produced any — not yet delivered.
+
+        Every query scans the whole batch first.  RETURN clauses then
+        run per event in registration order, and each event's INTO
+        composites reach their consumers breadth-first before the next
+        event's RETURNs run, so RETURN side effects (event-database
+        writes and reads) interleave exactly as under per-event feeding.
+        """
+        scans, hits = self._scan(events, stream, 0, only)
+        found: dict[int, list[tuple[str, CompositeEvent]]] = {}
+        for slot in sorted(hits):
+            bucket = found[slot] = []
+            pending = self._returns(scans, slot, bucket, 1)
+            while pending:
+                current_stream, current_event, depth = pending.popleft()
+                if depth > self.MAX_CASCADE_DEPTH:
+                    raise SaseError(
+                        f"query cascade exceeded {self.MAX_CASCADE_DEPTH} "
+                        f"levels on stream {current_stream!r}; check for an "
+                        f"INTO/FROM cycle")
+                cascade, _ = self._scan([current_event], current_stream,
+                                        depth, only)
+                pending.extend(self._returns(cascade, 0, bucket,
+                                             depth + 1))
+        return found
+
+    def _scan(self, events: list[Event], stream: str, depth: int,
+              only: frozenset | set | None) \
+            -> tuple[list[tuple[RegisteredQuery, dict]], set[int]]:
+        """Each reading query's raw matches in *events*, in registration
+        order: ``(query, {slot: matches})`` pairs holding the non-empty
+        match lists by event slot, plus the set of slots that have any.
+
+        With the dispatch index enabled, a query is fed only the events
+        whose type its pattern mentions (positively or under negation);
+        a negation query still receives a skipped event's timestamp as a
+        watermark, so trailing-negation matches release at the same
+        stream time either way.  A query's runtime sees its feeds and
+        watermarks in event order, consecutive feeds as one batch.
         """
         tracer = self._tracer
-        slow = self._slow_log
-        produced: list[tuple[str, CompositeEvent]] = []
-        pending: list[tuple[str, Event, int]] = [(stream, event, 0)]
-        while pending:
-            current_stream, current_event, depth = pending.pop(0)
-            if depth > self.MAX_CASCADE_DEPTH:
-                raise SaseError(
-                    f"query cascade exceeded {self.MAX_CASCADE_DEPTH} "
-                    f"levels on stream {current_stream!r}; check for an "
-                    f"INTO/FROM cycle")
-            actions = self._dispatch_actions(current_stream,
-                                             current_event.type)
-            if tracer is not None:
+        if tracer is not None:
+            for event in events:
                 tracer.record(
-                    "dispatch", stream=current_stream,
-                    ts=current_event.timestamp,
-                    detail={"event_type": current_event.type,
-                            "depth": depth, "actions": len(actions)})
-            for registered, is_feed in actions:
-                if only is not None and registered.name not in only:
-                    continue
-                started = time.perf_counter()
-                if is_feed:
-                    results = registered.runtime.feed(current_event)
-                    elapsed = time.perf_counter() - started
-                    self.metrics.query(registered.name).record(
-                        1, len(results), elapsed,
-                        current_event.timestamp)
+                    "dispatch", stream=stream, ts=event.timestamp,
+                    detail={"event_type": event.type, "depth": depth,
+                            "actions": len(self._dispatch_actions(
+                                stream, event.type))})
+        # Per query, its steps through the batch in event order: the
+        # slot of an event to feed, or ~slot of one to advance past.
+        steps: dict[str, list[int]] = {}
+        targets_by_type: dict[str, list[tuple[list[int], bool]]] = {}
+        for slot, event in enumerate(events):
+            targets = targets_by_type.get(event.type)
+            if targets is None:
+                targets = targets_by_type[event.type] = [
+                    (steps.setdefault(registered.name, []), is_feed)
+                    for registered, is_feed
+                    in self._dispatch_actions(stream, event.type)
+                    if only is None or registered.name in only]
+            for taken, is_feed in targets:
+                taken.append(slot if is_feed else ~slot)
+        slow = self._slow_log
+        metrics = self.metrics
+        scans: list[tuple[RegisteredQuery, dict]] = []
+        hits: set[int] = set()
+        for registered in self._queries.values():
+            taken = steps.get(registered.name)
+            if not taken:
+                continue
+            runtime = registered.runtime
+            started = time.perf_counter()
+            found: dict[int, list] = {}
+            if min(taken) >= 0:   # feeds only: one run
+                fed = _feed_run(runtime, events, taken, found)
+            else:
+                run: list[int] = []
+                fed = 0
+                for step in taken:
+                    if step >= 0:
+                        run.append(step)
+                        continue
+                    if run:
+                        fed += _feed_run(runtime, events, run, found)
+                        run = []
+                    released = runtime.advance(events[~step].timestamp)
+                    if released:
+                        found[~step] = released
+                if run:
+                    fed += _feed_run(runtime, events, run, found)
+            elapsed = time.perf_counter() - started
+            total = 0
+            last_ts = None
+            if found:
+                total = sum(map(len, found.values()))
+                last_ts = max(events[slot].timestamp for slot in found)
+                hits.update(found)
+            metrics.query(registered.name).record(fed, total, elapsed,
+                                                  last_ts)
+            scans.append((registered, found))
+            if tracer is not None:
+                self._trace_scan(tracer, registered, stream, events[0],
+                                 fed, total, elapsed)
+            if slow is not None and fed and elapsed >= slow.threshold:
+                slow.record(registered.name, events[0], elapsed, total)
+        return scans, hits
+
+    def _returns(self, scans: list[tuple[RegisteredQuery, dict]],
+                 slot: int, bucket: list[tuple[str, CompositeEvent]],
+                 depth: int) -> deque:
+        """Apply each query's RETURN to its matches for event *slot*, in
+        registration order, into *bucket*; returns the INTO composites
+        as pending ``(stream, event, depth)`` cascade steps."""
+        tracer = self._tracer
+        pending: deque = deque()
+        for registered, found in scans:
+            matches = found.get(slot)
+            if matches is None:
+                continue
+            name = registered.name
+            process = registered.returns.process
+            for match in matches:
+                result = process(match)
+                bucket.append((name, result))
+                if tracer is not None:
+                    tracer.record(
+                        "return", query=name, stream=result.stream,
+                        ts=result.end,
+                        detail={"attributes": dict(result.attributes)})
+                if result.stream is not None:
                     if tracer is not None:
-                        tracer.record(
-                            "scan", query=registered.name,
-                            stream=current_stream,
-                            ts=current_event.timestamp, duration=elapsed,
-                            detail={"event_type": current_event.type,
-                                    "results": len(results)})
-                        if results:
-                            tracer.record(
-                                "construct", query=registered.name,
-                                stream=current_stream,
-                                ts=current_event.timestamp,
-                                detail={"matches": len(results)})
-                    if slow is not None and elapsed >= slow.threshold:
-                        slow.record(registered.name, current_event,
-                                    elapsed, len(results))
-                else:
-                    results = registered.runtime.advance(
-                        current_event.timestamp)
-                    if results:
-                        elapsed = time.perf_counter() - started
-                        self.metrics.query(registered.name).record(
-                            0, len(results), elapsed,
-                            current_event.timestamp)
-                        if tracer is not None:
-                            tracer.record(
-                                "advance", query=registered.name,
-                                stream=current_stream,
-                                ts=current_event.timestamp,
-                                duration=elapsed,
-                                detail={"released": len(results)})
-                for result in results:
-                    produced.append((registered.name, result))
-                    if tracer is not None:
-                        tracer.record(
-                            "return", query=registered.name,
-                            stream=result.stream, ts=result.end,
-                            detail={"attributes":
-                                    dict(result.attributes)})
-                    if result.stream is not None:
-                        if tracer is not None:
-                            tracer.record(
-                                "cascade", query=registered.name,
-                                stream=result.stream, ts=result.end,
-                                detail={"depth": depth + 1})
-                        pending.append((result.stream, result.to_event(),
-                                        depth + 1))
-        return produced
+                        tracer.record("cascade", query=name,
+                                      stream=result.stream, ts=result.end,
+                                      detail={"depth": depth})
+                    pending.append((result.stream, result.to_event(),
+                                    depth))
+        return pending
+
+    @staticmethod
+    def _trace_scan(tracer: DataflowTracer, registered: RegisteredQuery,
+                    stream: str, event: Event, fed: int, results: int,
+                    elapsed: float) -> None:
+        name = registered.name
+        if not fed:
+            if results:
+                tracer.record("advance", query=name, stream=stream,
+                              ts=event.timestamp, duration=elapsed,
+                              detail={"released": results})
+            return
+        tracer.record("scan", query=name, stream=stream,
+                      ts=event.timestamp, duration=elapsed,
+                      detail={"event_type": event.type,
+                              "results": results})
+        if results:
+            tracer.record("construct", query=name, stream=stream,
+                          ts=event.timestamp,
+                          detail={"matches": results})
 
     def _dispatch_actions(self, stream: str, event_type: str) \
             -> list[tuple[RegisteredQuery, bool]]:
@@ -529,23 +719,17 @@ class ComplexEventProcessor:
             if only is not None and registered.name not in only:
                 continue
             started = time.perf_counter()
-            results = registered.runtime.advance(watermark)
-            if results:
-                elapsed = time.perf_counter() - started
-                self.metrics.query(registered.name).record(
-                    0, len(results), elapsed, watermark)
-                if tracer is not None:
-                    tracer.record(
-                        "advance", query=registered.name, ts=watermark,
-                        duration=elapsed,
-                        detail={"released": len(results)})
-            for result in results:
-                produced.append((registered.name, result))
-                if tracer is not None:
-                    tracer.record(
-                        "return", query=registered.name,
-                        stream=result.stream, ts=result.end,
-                        detail={"attributes": dict(result.attributes)})
+            matches = registered.runtime.advance(watermark)
+            if not matches:
+                continue
+            elapsed = time.perf_counter() - started
+            self.metrics.query(registered.name).record(
+                0, len(matches), elapsed, watermark)
+            if tracer is not None:
+                tracer.record(
+                    "advance", query=registered.name, ts=watermark,
+                    duration=elapsed, detail={"released": len(matches)})
+            self._returns([(registered, {0: matches})], 0, produced, 1)
         return produced
 
     def _deliver(self, registered: RegisteredQuery,
@@ -564,14 +748,14 @@ class ComplexEventProcessor:
         self._delivery_filter = accept
 
     def set_persistence_hooks(
-            self, log: Callable[[Event], Any] | None,
-            post: Callable[[], Any] | None) -> None:
-        """Fuse the durability write path into :meth:`feed`: *log* runs
-        for every live event before it is processed (the WAL append),
-        *post* runs after delivery and returns any matches a due
-        checkpoint's drain barrier released.  The persistence manager
-        installs these after recovery completes — never during replay —
-        and removes them on close."""
+            self, log: Callable[[list[Event]], Any] | None,
+            post: Callable[[int], Any] | None) -> None:
+        """Fuse the durability write path into the feed dataflow: *log*
+        runs with every live batch before any of it is processed (the
+        WAL append), *post* runs after delivery with the batch's event
+        count and returns any matches a due checkpoint's drain barrier
+        released.  The persistence manager installs these after recovery
+        completes — never during replay — and removes them on close."""
         self._persist_log = log
         self._persist_post = post
 
@@ -610,145 +794,6 @@ class ComplexEventProcessor:
         results carry ``complete=False`` from that point on."""
         return bool(self._router is not None
                     and getattr(self._router, "degraded", False))
-
-    def feed_many(self, events: Iterable[Event]) \
-            -> list[tuple[str, CompositeEvent]]:
-        produced: list[tuple[str, CompositeEvent]] = []
-        for event in events:
-            produced.extend(self.feed(event))
-        return produced
-
-    def feed_batch(self, events: Iterable[Event],
-                   stream: str = DEFAULT_STREAM) \
-            -> list[tuple[str, CompositeEvent]]:
-        """Push a batch of events through every query reading *stream*
-        in one call, result-identical to feeding them one at a time
-        (same results, same order).
-
-        The batched dataflow engages when no per-event hook is installed
-        (tracer, slow-feed log, persistence WAL) and no registered query
-        cascades via INTO; otherwise the batch silently degrades to the
-        per-event path, so callers can batch unconditionally.  Delivery
-        callbacks fire after the whole batch is scanned; registration
-        changes from inside a callback are rejected mid-batch.
-        """
-        events = list(events)
-        if not events:
-            return []
-        if not self._batch_fast_path():
-            produced: list[tuple[str, CompositeEvent]] = []
-            for event in events:
-                produced.extend(self.feed(event))
-            return produced
-        self._in_batch = True
-        try:
-            if self._sharding is not None and self._sharding.active:
-                emitted = self._ensure_router().feed_batch(events, stream)
-            else:
-                emitted = []
-                for bucket in self._run_queries_batch(events, stream):
-                    emitted.extend(bucket)
-            return self._deliver_all(emitted)
-        finally:
-            self._in_batch = False
-
-    def feed_batch_grouped(self, events: list[Event],
-                           stream: str = DEFAULT_STREAM) \
-            -> list[list[tuple[str, CompositeEvent]]]:
-        """Like :meth:`feed_batch` but returns one result list per input
-        event — shard workers use this to tag results with the arrival
-        number of the event that produced them.  Not available under an
-        active sharding configuration (the router owns event order)."""
-        if not events:
-            return []
-        if self._sharding is not None and self._sharding.active:
-            raise SaseError(
-                "feed_batch_grouped is for synchronous processors; "
-                "the sharded path groups by seq in the router")
-        if not self._batch_fast_path():
-            return [self.feed(event, stream) for event in events]
-        self._in_batch = True
-        try:
-            buckets = self._run_queries_batch(events, stream)
-            return [self._deliver_all(bucket) for bucket in buckets]
-        finally:
-            self._in_batch = False
-
-    def _batch_fast_path(self) -> bool:
-        """True when batched execution is observably identical to the
-        per-event path: no per-event hooks, and (synchronous runtime
-        only) no INTO cascades — cascade composites must interleave with
-        their triggering events."""
-        if self._tracer is not None or self._slow_log is not None:
-            return False
-        if self._persist_log is not None or self._persist_post is not None:
-            return False
-        if self._sharding is not None and self._sharding.active:
-            return True  # the router sequences events internally
-        return all(registered.output_stream is None
-                   for registered in self._queries.values())
-
-    def _run_queries_batch(self, events: list[Event], stream: str) \
-            -> list[list[tuple[str, CompositeEvent]]]:
-        """The batched synchronous dataflow (no cascades): each query
-        reads its subscribed slice of the batch through the runtime's
-        batch path, and results are reassembled per event in
-        registration order — exactly what N ``_run_queries`` calls
-        would have produced."""
-        per_event: list[list[tuple[str, CompositeEvent]]] = \
-            [[] for _ in events]
-        metrics = self.metrics
-        for registered in self._queries.values():
-            if registered.input_stream != stream:
-                continue
-            name = registered.name
-            runtime = registered.runtime
-            types = self._subscribed_types(registered) \
-                if self._use_dispatch_index else None
-            if registered.compiled.analyzed.has_negation:
-                # Negation interleaves event observation with watermark
-                # advances; replicate the per-event dispatch exactly.
-                for slot, event in enumerate(events):
-                    started = time.perf_counter()
-                    if types is None or event.type in types:
-                        results = runtime.feed(event)
-                        elapsed = time.perf_counter() - started
-                        metrics.query(name).record(
-                            1, len(results), elapsed, event.timestamp)
-                    else:
-                        results = runtime.advance(event.timestamp)
-                        if results:
-                            elapsed = time.perf_counter() - started
-                            metrics.query(name).record(
-                                0, len(results), elapsed, event.timestamp)
-                    bucket = per_event[slot]
-                    for result in results:
-                        bucket.append((name, result))
-                continue
-            if types is None:
-                slots: list[int] | range = range(len(events))
-                fed = events
-            else:
-                slots = [index for index, event in enumerate(events)
-                         if event.type in types]
-                if not slots:
-                    continue
-                fed = [events[index] for index in slots]
-            started = time.perf_counter()
-            grouped = runtime.feed_batch_grouped(fed)
-            elapsed = time.perf_counter() - started
-            total = 0
-            last_ts: float | None = None
-            for slot, event, results in zip(slots, fed, grouped):
-                if results:
-                    total += len(results)
-                    if last_ts is None or event.timestamp > last_ts:
-                        last_ts = event.timestamp
-                    bucket = per_event[slot]
-                    for result in results:
-                        bucket.append((name, result))
-            metrics.query(name).record(len(fed), total, elapsed, last_ts)
-        return per_event
 
     def flush(self) -> list[tuple[str, CompositeEvent]]:
         """End of stream: release pending trailing-negation matches.
@@ -789,7 +834,9 @@ class ComplexEventProcessor:
             if only is not None and registered.name not in only:
                 continue
             rank = ranks[registered.name]
-            for result in registered.runtime.flush():
+            process = registered.returns.process
+            for match in registered.runtime.flush():
+                result = process(match)
                 produced.append((registered.name, result, rank))
                 if result.stream is not None:
                     self._route_late(result.stream, result.to_event(),
@@ -814,7 +861,9 @@ class ComplexEventProcessor:
             if registered.input_stream != stream or \
                     registered.name in flushed:
                 continue
-            for result in registered.runtime.feed(event):
+            process = registered.returns.process
+            for match in registered.runtime.feed(event):
+                result = process(match)
                 produced.append((registered.name, result, trigger_rank))
                 if result.stream is not None:
                     self._route_late(result.stream, result.to_event(),

@@ -77,8 +77,7 @@ class SaseSystem:
                  event_db: EventDatabase | None = None,
                  sharding: "ShardingConfig | None" = None,
                  persistence: "PersistenceConfig | None" = None,
-                 resilience: "ResilienceConfig | None" = None,
-                 ingest_batch: int = 1):
+                 resilience: "ResilienceConfig | None" = None):
         self.layout = layout
         self.ons = ons
         self.registry = registry or retail_registry()
@@ -106,11 +105,6 @@ class SaseSystem:
         self.processor = ComplexEventProcessor(
             self.registry, functions=self.functions, system=self.context,
             config=plan_config, sharding=sharding, resilience=resilience)
-        # Batch size for feeding cleaned events into the processor
-        # (1 = legacy per-event path).  Composes with router batching
-        # under sharding: the router still seals shard batches at its
-        # own batch_size, the caller batch only amortizes dispatch.
-        self.ingest_batch = max(1, ingest_batch)
         self.taps = SystemTaps()
         self._message_formatters: dict[str, Callable[[CompositeEvent],
                                                      str]] = {}
@@ -289,36 +283,23 @@ class SaseSystem:
                               trace_id=-1)
         else:
             events = self.cleaning.process_tick(readings, now)
-        produced: list[tuple[str, CompositeEvent]] = []
         persistence = self.persistence
-        fed: list[Event] = []
+        fed = events
         if persistence is not None:
-            # The WAL append and checkpoint cadence are fused into
-            # processor.feed (set_persistence_hooks); this guard is the
-            # per-tick stand-in for the per-event checks they replaced.
+            # The WAL append and checkpoint cadence are fused into the
+            # processor's feed (set_persistence_hooks); the liveness
+            # guard runs once per tick.
             persistence.require_live()
-        for event in events:
-            if persistence is not None and persistence.should_skip(event):
-                continue  # already replayed from the WAL
-            fed.append(event)
-        if self.ingest_batch > 1:
-            for start in range(0, len(fed), self.ingest_batch):
-                produced.extend(self.feed_batch(
-                    fed[start:start + self.ingest_batch]))
-        else:
-            for event in fed:
-                produced.extend(self.processor.feed(event))
+            # Skip what recovery already replayed from the WAL.
+            fed = [event for event in events
+                   if not persistence.should_skip(event)]
+        # One cleaned tick is one batch; the router, when sharded, still
+        # seals shard batches at its own batch_size.
+        produced = self.processor.feed_batch(fed)
         self.taps.record_events(fed)
         if self._exporter is not None and fed:
             self._exporter.tick(len(fed))
         return produced
-
-    def feed_batch(self, events: list[Event]) \
-            -> list[tuple[str, CompositeEvent]]:
-        """Feed a batch of already-cleaned events to the processor in
-        one call (result-identical to per-event feeding; see
-        :meth:`ComplexEventProcessor.feed_batch`)."""
-        return self.processor.feed_batch(events)
 
     def run_simulation(self,
                        ticks: Iterable[tuple[float, list[RawReading]]],

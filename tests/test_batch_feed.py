@@ -1,10 +1,10 @@
 """Batched ingest at the system layer: ``feed_batch`` edge cases.
 
 The batched API's contract is strict result identity with per-event
-feeding — including negation watermarks advancing mid-batch, empty
-batches, registration changes around (but never inside) a batch, and
-every sharding backend.  These tests pin that contract at the
-processor, system, and service layers.
+feeding — including negation watermarks advancing mid-batch, RETURN side
+effects in per-event order, empty batches, registration changes around
+(but never inside) a feed, and every sharding backend.  These tests pin
+that contract at the processor, system, and service layers.
 """
 
 from __future__ import annotations
@@ -12,13 +12,17 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SaseError
+from repro.events.event import Event
+from repro.events.model import AttributeType
+from repro.funcs import FunctionRegistry
 from repro.service import QueryService, TenantQuota
 from repro.sharding import ShardingConfig
 from repro.system import ComplexEventProcessor, SaseSystem
 from repro.workloads import RetailConfig, RetailScenario, \
     SHOPLIFTING_QUERY, MISPLACED_INVENTORY_QUERY
+from repro.workloads.retail import LOCATION_UPDATE_RULE
 from repro.workloads.synthetic import SyntheticConfig, SyntheticStream, \
-    seq_query
+    seq_query, synthetic_registry
 
 
 def fingerprint(results):
@@ -88,8 +92,8 @@ def test_sharded_batched_equals_per_event(stream, per_event_baseline,
 
 def test_mid_batch_deregistration_rejected(stream):
     """A result callback must not mutate the query set while a batch is
-    in flight — the per-event path allows it, so the batch path fails
-    loudly instead of silently diverging."""
+    in flight: the batch path fails loudly instead of silently
+    diverging."""
     processor = build_processor(stream)
     errors: list = []
 
@@ -108,6 +112,43 @@ def test_mid_batch_deregistration_rejected(stream):
     assert processor.feed_batch(stream.events[200:250]) is not None
 
 
+def _sibling_pair():
+    """Two single-type queries that both match every B event, the first
+    one's callback deregistering the second."""
+    processor = ComplexEventProcessor(synthetic_registry(2))
+    processor.register("first", "EVENT B x RETURN x.id")
+    processor.register("second", "EVENT B x RETURN x.id")
+    processor.query("first").on_result = \
+        lambda name, result: processor.deregister("second")
+    return processor
+
+
+@pytest.mark.parametrize("entry", ["feed", "feed_batch"])
+def test_callback_deregistering_sibling_raises_sase_error(entry):
+    """``feed`` is a batch of one, so a callback deregistering a sibling
+    that produced a result for the same event gets the same SaseError
+    from ``feed`` as from ``feed_batch`` (never a bare KeyError)."""
+    processor = _sibling_pair()
+    event = Event("B", 1.0, {"id": 1, "v": 0, "price": 1.0})
+    feed = processor.feed if entry == "feed" \
+        else lambda item: processor.feed_batch([item])
+    with pytest.raises(SaseError, match="in flight"):
+        feed(event)
+    assert [registered.name for registered in processor.queries()] \
+        == ["first", "second"]
+
+
+def test_deregistering_between_feeds_still_works():
+    processor = _sibling_pair()
+    processor.query("first").on_result = None
+    event = Event("B", 1.0, {"id": 1, "v": 0, "price": 1.0})
+    assert [name for name, _ in processor.feed(event)] \
+        == ["first", "second"]
+    processor.deregister("second")
+    later = Event("B", 2.0, {"id": 2, "v": 0, "price": 1.0})
+    assert [name for name, _ in processor.feed(later)] == ["first"]
+
+
 def test_mid_batch_registration_rejected(stream):
     processor = build_processor(stream)
     errors: list = []
@@ -123,15 +164,21 @@ def test_mid_batch_registration_rejected(stream):
     assert errors, "expected mid-batch registration to be rejected"
 
 
-def test_cascades_degrade_to_per_event(stream):
-    """INTO cascades disable the batch fast path (composites must
-    interleave with their triggering events); feed_batch silently takes
-    the per-event route and results stay identical."""
+def test_cascades_in_batch_match_per_event(stream):
+    """INTO cascades run inside the batch: each input event's composites
+    reach their consumers before the next input event's results, so
+    feed_batch stays result-identical to per-event feeding."""
+    registry = synthetic_registry(4)
+    registry.declare("Pair", id=AttributeType.INT)
+
     def build():
-        processor = ComplexEventProcessor(stream.registry)
+        processor = ComplexEventProcessor(registry)
         processor.register(
-            "pair", seq_query(2, window=5.0, partitioned=True)
-            + " INTO PAIRS")
+            "pair", "EVENT SEQ(A x, B y) WHERE x.id = y.id WITHIN 5 "
+                    "RETURN Pair(x.id AS id) INTO PAIRS")
+        processor.register(
+            "repeat", "FROM PAIRS EVENT SEQ(Pair p, Pair q) "
+                      "WHERE p.id = q.id WITHIN 20 RETURN p.id")
         return processor
 
     reference = build()
@@ -144,6 +191,38 @@ def test_cascades_degrade_to_per_event(stream):
     produced = list(batched.feed_batch(stream.events[:200]))
     produced.extend(batched.flush())
     assert fingerprint(produced) == fingerprint(expected)
+    assert any(name == "repeat" for name, _ in produced)
+
+
+def test_where_function_reads_return_side_effect():
+    """A WHERE clause calling a function that reads state another
+    query's RETURN writes sees every earlier event's RETURN, batched or
+    not: the dataflow steps one event at a time for such queries."""
+    registry = synthetic_registry(2)
+
+    def build():
+        marked: set = set()
+        functions = FunctionRegistry()
+        functions.register("_mark", lambda key: marked.add(key) or key)
+        functions.register("_marked", lambda key: key in marked)
+        processor = ComplexEventProcessor(registry, functions=functions)
+        processor.register("writer", "EVENT A x RETURN _mark(x.id)")
+        processor.register("reader", "EVENT B y WHERE _marked(y.id) "
+                                     "RETURN y.id")
+        return processor
+
+    # Two B events arrive before the A that marks their id.
+    events = [Event(event_type, float(ts), {"id": key, "v": 0, "price": 1.0})
+              for ts, (event_type, key) in enumerate(
+                  [("A", 0), ("B", 0), ("B", 1), ("A", 1), ("B", 1),
+                   ("B", 2), ("A", 2)])]
+    reference = build()
+    expected = [pair for event in events
+                for pair in reference.feed(event)]
+    assert [result.end for name, result in expected
+            if name == "reader"] == [1.0, 4.0]
+    batched = build()
+    assert fingerprint(batched.feed_batch(events)) == fingerprint(expected)
 
 
 def test_batched_metrics_aggregates_match(stream):
@@ -163,20 +242,52 @@ def test_batched_metrics_aggregates_match(stream):
 
 # -- system layer ------------------------------------------------------------
 
-def _run_retail(ingest_batch: int):
-    scenario = RetailScenario.generate(RetailConfig(seed=99))
-    system = SaseSystem(scenario.layout, scenario.ons,
-                        ingest_batch=ingest_batch)
+RETAIL_DAYS = {
+    "seed99": RetailConfig(seed=99),
+    # The benchmark's store day: two misplaced-inventory detections read
+    # a movement history the loc_* rules of the same tick write.
+    "seed7": RetailConfig(n_products=60, n_shoppers=20, n_shoplifters=5,
+                          n_misplacements=5, seed=7),
+}
+
+
+def _run_retail(config: RetailConfig, feed: str):
+    """The retail query set over one store day, fed per tick through
+    ``process_tick`` ("tick"), per cleaned tick through ``feed_batch``
+    ("batch"), or one ``processor.feed`` per event ("event")."""
+    scenario = RetailScenario.generate(config)
+    system = SaseSystem(scenario.layout, scenario.ons)
     system.register_monitoring_query("shoplifting", SHOPLIFTING_QUERY)
     system.register_monitoring_query("misplaced",
                                      MISPLACED_INVENTORY_QUERY)
-    results = system.run_simulation(scenario.ticks())
-    return [(name, result.end, tuple(sorted(result.attributes.items())))
-            for name, result in results]
+    for event_type in ("SHELF_READING", "COUNTER_READING", "EXIT_READING"):
+        system.register_archiving_rule(f"loc_{event_type}",
+                                       LOCATION_UPDATE_RULE(event_type))
+    results = []
+    for now, readings in scenario.ticks():
+        if feed == "tick":
+            results.extend(system.process_tick(readings, now))
+            continue
+        events = system.cleaning.process_tick(readings, now)
+        if feed == "batch":
+            results.extend(system.processor.feed_batch(events))
+        else:
+            for event in events:
+                results.extend(system.processor.feed(event))
+    results.extend(system.processor.flush())
+    return fingerprint(results)
 
 
-def test_system_ingest_batch_identical():
-    assert _run_retail(ingest_batch=64) == _run_retail(ingest_batch=1)
+@pytest.mark.parametrize("day", sorted(RETAIL_DAYS))
+def test_system_tick_batches_match_per_event(day):
+    """Tick-sized batches keep RETURN side effects in per-event order:
+    the misplaced query's ``_movementHistory`` reads exactly the rows
+    the ``loc_*`` rules wrote for the events before it."""
+    config = RETAIL_DAYS[day]
+    expected = _run_retail(config, "event")
+    assert any(name == "misplaced" for name, *_ in expected)
+    assert _run_retail(config, "batch") == expected
+    assert _run_retail(config, "tick") == expected
 
 
 # -- service layer -----------------------------------------------------------

@@ -17,8 +17,9 @@ from repro.cleaning import (
 from repro.cleaning.base import LogicalReading
 from repro.errors import CleaningError
 from repro.ons import ObjectNameService
-from repro.rfid import default_retail_layout, encode_epc
+from repro.rfid import NoiseModel, default_retail_layout, encode_epc
 from repro.rfid.simulator import RawReading
+from repro.workloads import RetailConfig, RetailScenario
 
 
 def raw(tag_id: int, reader: str = "R1", time: float = 1.0) -> RawReading:
@@ -45,6 +46,39 @@ class TestAnomalyFilter:
     def test_ghost_kept_without_known_set(self):
         layer = AnomalyFilter(known_tags=None)
         assert len(layer.process([raw(999)])) == 1
+
+    def test_drop_counts_per_kind(self):
+        """Each EPC is validated once; truncated, bad-checksum,
+        non-numeric and ghost reads are all dropped and counted."""
+        good = encode_epc(100)
+        bad_check = good[:-2] + f"{(int(good[-2:]) + 1) % 100:02d}"
+        readings = [
+            raw(100), raw(101),
+            RawReading(good[:-3], "R1", 1.0),           # truncated
+            RawReading(good[:-1], "R1", 1.0),           # truncated
+            RawReading(bad_check, "R1", 1.0),           # bad checksum
+            RawReading("EPC00000001x000", "R1", 1.0),   # not digits
+            RawReading("XYZ" + good[3:], "R1", 1.0),    # wrong prefix
+            raw(999), raw(998),                         # ghosts
+        ]
+        layer = AnomalyFilter(known_tags={100, 101})
+        assert layer.process(readings) == [CleanReading(100, "R1", 1.0),
+                                           CleanReading(101, "R1", 1.0)]
+        assert (layer.stats.consumed, layer.stats.dropped,
+                layer.stats.produced) == (9, 7, 2)
+
+    def test_drop_counts_on_noisy_store_day(self):
+        """Pinned drop count of a seeded noisy scenario, so validating
+        each EPC once keeps every truncated and ghost read dropped."""
+        scenario = RetailScenario.generate(RetailConfig(seed=99))
+        layer = AnomalyFilter(
+            known_tags={record.tag_id for record in scenario.ons})
+        noise = NoiseModel(miss_rate=0.1, duplicate_rate=0.1,
+                           truncate_rate=0.02, ghost_rate=0.01)
+        for _, readings in scenario.ticks(noise):
+            layer.process(readings)
+        assert (layer.stats.consumed, layer.stats.dropped,
+                layer.stats.produced) == (11752, 245, 11507)
 
 
 class TestTemporalSmoothing:

@@ -327,5 +327,6 @@ def test_compiled_scan_exposes_source():
         "EVENT SEQ(A x, B y) WHERE x.id = y.id WITHIN 10 RETURN x.id")
     assert runtime.scan_compiled is True
     source = runtime._scan.codegen_source
-    assert "def feed(self, event):" in source
+    assert "def feed_batch(self, events, bounds=None):" in source
+    assert "def feed(self, event):" not in source  # a batch of one
     assert "EvalContext" not in source  # the point of the exercise
