@@ -24,6 +24,7 @@ from repro.core.match import Match
 from repro.core.stats import PlanStats
 from repro.events.event import CompositeEvent, Event
 from repro.indexes import Interval, PartitionedTimeIndex, TimeIndex
+from repro.lang.ast import AttributeRef, FunctionCall
 from repro.lang.semantics import AnalyzedQuery, PredicateInfo
 
 
@@ -149,10 +150,12 @@ class _NegationCheck:
     """
 
     __slots__ = ("variable", "event_types", "prev_index", "next_index",
+                 "low_var", "high_var", "low_inclusive", "high_inclusive",
                  "local_filters", "cross_predicates", "key_attr", "history")
 
     def __init__(self, variable: str, event_types: tuple[str, ...],
                  prev_index: int, next_index: int,
+                 positives: tuple[str, ...],
                  local_filters: list[Callable[[EvalContext], bool]],
                  cross_predicates: list[Callable[[EvalContext], bool]],
                  key_attr: str | None):
@@ -160,6 +163,14 @@ class _NegationCheck:
         self.event_types = event_types
         self.prev_index = prev_index
         self.next_index = next_index
+        # The interval's edges: the neighbouring positive variables (None
+        # at a window edge).  Open at positive events, closed at window
+        # edges.
+        self.low_var = positives[prev_index] if prev_index >= 0 else None
+        self.high_var = positives[next_index] \
+            if next_index < len(positives) else None
+        self.low_inclusive = self.low_var is None
+        self.high_inclusive = self.high_var is None
         self.local_filters = local_filters
         self.cross_predicates = cross_predicates
         self.key_attr = key_attr
@@ -196,6 +207,8 @@ class Negation:
         self._observed_since_prune = 0
 
         partition = analyzed.partition if use_partition_index else None
+        positive_vars = tuple(component.variable
+                              for component in analyzed.positives)
         for component, prev_index, next_index in analyzed.negation_layout():
             local: list[Callable[[EvalContext], bool]] = []
             cross: list[Callable[[EvalContext], bool]] = []
@@ -212,7 +225,8 @@ class Negation:
                 key_attr = partition.key_attribute(component.variable)
             self._checks.append(_NegationCheck(
                 component.variable, component.event_types,
-                prev_index, next_index, local, cross, key_attr))
+                prev_index, next_index, positive_vars, local, cross,
+                key_attr))
         self._types = {event_type for check in self._checks
                        for event_type in check.event_types}
         # the partition attribute of some positive variable, used to compute
@@ -325,12 +339,15 @@ class Negation:
         return True
 
     def _violated(self, check: _NegationCheck, match: Match) -> bool:
-        interval = self._interval(check, match)
         history = self._history_for(check, match)
         if history is None:
             return False
+        low, high = self._bounds(check, match)
         if not check.cross_predicates:
-            return history.exists(interval)
+            return history.exists_between(low, high, check.low_inclusive,
+                                          check.high_inclusive)
+        interval = Interval(low, high, check.low_inclusive,
+                            check.high_inclusive)
         base = EvalContext(match.bindings, self._functions, self._system)
         for candidate in history.range(interval):
             context = base.rebind(check.variable, candidate)
@@ -339,52 +356,96 @@ class Negation:
                 return True
         return False
 
-    def _interval(self, check: _NegationCheck, match: Match) -> Interval:
-        n_positives = len(self._positives)
-        if check.prev_index < 0:  # leading negation
-            low = (match.end - self._window
-                   if self._window is not None else -math.inf)
-            return Interval(low, self._positive_ts(match, 0, first=True),
-                            low_inclusive=True, high_inclusive=False)
-        if check.next_index >= n_positives:  # trailing negation
-            high = (match.start + self._window
-                    if self._window is not None else math.inf)
-            return Interval(
-                self._positive_ts(match, n_positives - 1, first=False),
-                high, low_inclusive=False, high_inclusive=True)
-        return Interval(
-            self._positive_ts(match, check.prev_index, first=False),
-            self._positive_ts(match, check.next_index, first=True),
-            low_inclusive=False, high_inclusive=False)
-
-    def _positive_ts(self, match: Match, index: int, first: bool) -> float:
-        binding = match.bindings[self._positives[index].variable]
-        if isinstance(binding, tuple):
-            return binding[0].timestamp if first else binding[-1].timestamp
-        return binding.timestamp
+    def _bounds(self, check: _NegationCheck,
+                match: Match) -> tuple[float, float]:
+        """The negated component's non-occurrence interval: from the
+        last event of the positive before it (or the window's start)
+        to the first event of the positive after it (or the window's
+        end)."""
+        bindings = match.bindings
+        if check.low_var is None:  # leading negation
+            low = match.end - self._window \
+                if self._window is not None else -math.inf
+        else:
+            binding = bindings[check.low_var]
+            low = binding[-1].timestamp if isinstance(binding, tuple) \
+                else binding.timestamp
+        if check.high_var is None:  # trailing negation
+            high = match.start + self._window \
+                if self._window is not None else math.inf
+        else:
+            binding = bindings[check.high_var]
+            high = binding[0].timestamp if isinstance(binding, tuple) \
+                else binding.timestamp
+        return low, high
 
     def _history_for(self, check: _NegationCheck,
                      match: Match) -> TimeIndex | None:
-        if check.key_attr is None:
-            assert isinstance(check.history, TimeIndex)
-            return check.history
-        assert isinstance(check.history, PartitionedTimeIndex)
-        assert self._match_key_var is not None
-        assert self._match_key_attr is not None
+        history = check.history
+        if isinstance(history, TimeIndex):
+            return history
         binding = match.bindings[self._match_key_var]
         anchor = binding[0] if isinstance(binding, tuple) else binding
-        key = anchor.attributes.get(self._match_key_attr)
-        return check.history.partition(key)
+        return history.partition(anchor.attributes.get(self._match_key_attr))
+
+
+# How Transformation evaluates one RETURN item (bound at registration).
+_READ_ATTRIBUTE = 0   # ``x.Attr`` straight off the bound event
+_READ_TIMESTAMP = 1   # ``x.Timestamp``
+_CALL = 2             # ``_f(x.Attr, y.Timestamp, ...)`` via the registry
+_INTERPRET = 3        # anything else: the compiled closure
+_UNREAD = object()    # a direct read failed; rerun the closure
+
+
+def _read_path(expr: Any) -> tuple[str, str | None] | None:
+    """``(variable, attribute)`` when *expr* is a plain attribute read,
+    with attribute None for ``Timestamp``; None for any other shape."""
+    if not isinstance(expr, AttributeRef):
+        return None
+    if expr.attribute in ("Timestamp", "timestamp"):
+        return expr.variable, None
+    return expr.variable, expr.attribute
 
 
 class Transformation:
-    """Evaluate the RETURN clause: matches to composite events."""
+    """Evaluate the RETURN clause: matches to composite events.
+
+    Each item is bound once, at registration.  A plain attribute read
+    comes straight off the bound event; a ``_`` function whose arguments
+    are all attribute reads gets its argument values in one loop and is
+    called through the function registry (which reports unknown and
+    failing functions).  Every other shape runs the item's compiled
+    closure.  When a direct read fails (an unbound variable, a Kleene
+    binding, a missing attribute) the item's closure runs instead and
+    raises the interpreter's exact error, before any function call.
+    """
 
     def __init__(self, analyzed: AnalyzedQuery,
                  stats: PlanStats | None = None,
                  functions: Any = None, system: Any = None):
-        self._items = [(item.name, compile_expr(item.expr))
-                       for item in analyzed.return_items]
+        self._items: list[tuple[str, int, Any, Any, Callable]] = []
+        for item in analyzed.return_items:
+            expr = item.expr
+            closure = compile_expr(expr)
+            path = _read_path(expr)
+            if path is not None:
+                variable, attribute = path
+                kind = _READ_ATTRIBUTE if attribute is not None \
+                    else _READ_TIMESTAMP
+                self._items.append((item.name, kind, variable, attribute,
+                                    closure))
+                continue
+            args = [_read_path(arg) for arg in expr.args] \
+                if isinstance(expr, FunctionCall) else None
+            if functions is not None and args is not None \
+                    and None not in args:
+                self._items.append((item.name, _CALL, expr.name,
+                                    tuple(args), closure))
+            else:
+                self._items.append((item.name, _INTERPRET, None, None,
+                                    closure))
+        self._needs_context = any(kind >= _CALL
+                                  for _, kind, _, _, _ in self._items)
         self._output_type = analyzed.output_type
         self._output_stream = analyzed.output_stream
         self._functions = functions
@@ -393,9 +454,38 @@ class Transformation:
 
     def process(self, match: Match) -> CompositeEvent:
         self._stats.consumed += 1
-        context = EvalContext(match.bindings, self._functions, self._system)
-        attributes = {name: closure(context)
-                      for name, closure in self._items}
+        bindings = match.bindings
+        context = EvalContext(bindings, self._functions, self._system) \
+            if self._needs_context else None
+        attributes: dict[str, Any] = {}
+        for name, kind, first, second, closure in self._items:
+            if kind == _READ_ATTRIBUTE:
+                try:
+                    value = bindings[first].attributes[second]
+                except (KeyError, AttributeError):
+                    value = _UNREAD
+            elif kind == _CALL:
+                try:
+                    args = []
+                    for variable, attribute in second:
+                        event = bindings[variable]
+                        args.append(event.timestamp if attribute is None
+                                    else event.attributes[attribute])
+                except (KeyError, AttributeError):
+                    value = _UNREAD
+                else:
+                    value = self._functions.call(first, context, args)
+            elif kind == _INTERPRET:
+                value = closure(context)
+            else:   # _READ_TIMESTAMP
+                try:
+                    value = bindings[first].timestamp
+                except (KeyError, AttributeError):
+                    value = _UNREAD
+            if value is _UNREAD:  # the interpreter raises the exact error
+                value = closure(context or EvalContext(
+                    bindings, self._functions, self._system))
+            attributes[name] = value
         self._stats.produced += 1
         return CompositeEvent(self._output_type, attributes, match.bindings,
                               match.start, match.end,

@@ -142,7 +142,7 @@ class EventDatabase:
         *area_id* (the rule's EVENT/WHERE clauses normally prevent this
         call, but the database stays consistent regardless)."""
         table = self.db.table("locations")
-        current = self._current_location_row(tag_id)
+        current = table.first_null("tag_id", tag_id, "time_out")
         if current is not None:
             rowid, row = current
             if row[1] == area_id:
@@ -162,7 +162,7 @@ class EventDatabase:
         containment and open a new one (``parent_tag=None`` just removes
         the child from its container)."""
         table = self.db.table("containment")
-        current = self._current_containment_row(child_tag)
+        current = table.first_null("child_tag", child_tag, "time_out")
         if current is not None:
             rowid, row = current
             if row[1] == parent_tag:
@@ -238,16 +238,11 @@ class EventDatabase:
 
     def _current_location_row(self, tag_id: int) \
             -> tuple[int, list[Any]] | None:
-        for rowid, row in self.db.table("locations").lookup(
-                "tag_id", tag_id):
-            if row[3] is None:  # open stay
-                return rowid, row
-        return None
+        """The tag's open stay: its lowest-rowid row with no time_out."""
+        return self.db.table("locations").first_null(
+            "tag_id", tag_id, "time_out")
 
     def _current_containment_row(self, child_tag: int) \
             -> tuple[int, list[Any]] | None:
-        for rowid, row in self.db.table("containment").lookup(
-                "child_tag", child_tag):
-            if row[3] is None:
-                return rowid, row
-        return None
+        return self.db.table("containment").first_null(
+            "child_tag", child_tag, "time_out")

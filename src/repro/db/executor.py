@@ -73,6 +73,20 @@ class ResultSet:
         return [dict(zip(self.columns, row)) for row in self.rows]
 
 
+@dataclass(frozen=True)
+class _IndexJoin:
+    """A two-table equi-join through the inner table's hash index."""
+
+    outer_alias: str
+    outer_table: Table
+    outer_column: str
+    inner_alias: str
+    inner_table: Table
+    inner_column: str
+    pinned: tuple[str, Any] | None   # (outer column, constant) narrowing
+    swapped: bool                    # the outer is the FROM list's second
+
+
 class _Env:
     """Column resolution for one combined row across FROM tables."""
 
@@ -297,11 +311,15 @@ class Executor:
             frames = [(alias, self.table(name))
                       for name, alias in statement.tables]
             lines = []
-            if len(frames) == 2 and statement.where is not None and \
-                    self._try_index_join(frames, statement.where) \
-                    is not None:
+            join = self._plan_index_join(frames, statement.where) \
+                if len(frames) == 2 else None
+            if join is not None:
                 lines.append(
                     f"index join: {frames[0][0]} with {frames[1][0]}")
+                if join.pinned is not None:
+                    lines.append(
+                        f"outer index lookup on {join.outer_table.name}."
+                        f"{join.pinned[0]} = {join.pinned[1]!r}")
             else:
                 for alias, table in frames:
                     pinned = None
@@ -455,10 +473,10 @@ class Executor:
               where: SqlExpr | None) -> list[_Env]:
         """Cross product of the FROM tables, with an index-accelerated path
         for the common single-equi-join two-table case."""
-        if len(frames) == 2 and where is not None:
-            fast = self._try_index_join(frames, where)
-            if fast is not None:
-                return fast
+        if len(frames) == 2:
+            join = self._plan_index_join(frames, where)
+            if join is not None:
+                return self._index_join(join)
         envs: list[_Env] = [_Env([])]
         for alias, table in frames:
             if len(frames) == 1:
@@ -472,32 +490,56 @@ class Executor:
             envs = expanded
         return envs
 
-    def _try_index_join(self, frames: list[tuple[str, Table]],
-                        where: SqlExpr | None) -> list[_Env] | None:
-        """Use a hash index when the WHERE contains
-        ``a.col = b.col`` and one side is indexed."""
+    def _plan_index_join(self, frames: list[tuple[str, Table]],
+                         where: SqlExpr | None) -> _IndexJoin | None:
+        """The index-join plan when the WHERE contains ``a.col = b.col``
+        and one side is indexed (the inner, probed side); the outer side
+        is narrowed by an AND-conjunct pinning one of its indexed columns
+        to a constant, when there is one.  None when no such join
+        exists."""
         join = _find_equi_join(where, frames[0][0], frames[1][0])
         if join is None:
             return None
         (left_col, right_col) = join
         (left_alias, left_table) = frames[0]
         (right_alias, right_table) = frames[1]
+        swapped = False
         if right_table.index_for(right_col) is None and \
                 left_table.index_for(left_col) is not None:
             # swap so the indexed side is the inner lookup
             left_alias, right_alias = right_alias, left_alias
             left_table, right_table = right_table, left_table
             left_col, right_col = right_col, left_col
+            swapped = True
         if right_table.index_for(right_col) is None:
             return None
-        envs = []
-        left_position = left_table.column_position(left_col)
-        for _, left_row in left_table.rows():
-            value = left_row[left_position]
-            for _, right_row in right_table.lookup(right_col, value):
-                envs.append(_Env([(left_alias, left_table, left_row),
-                                  (right_alias, right_table, right_row)]))
-        return envs
+        return _IndexJoin(
+            left_alias, left_table, left_col, right_alias, right_table,
+            right_col, _find_indexed_equality(where, left_alias, left_table),
+            swapped)
+
+    @staticmethod
+    def _index_join(join: _IndexJoin) -> list[_Env]:
+        """Run *join*: every (outer, inner) row pair agreeing on the join
+        columns, framed and ordered as the FROM list's cross product."""
+        outer = join.outer_table
+        inner = join.inner_table
+        outer_rows = outer.lookup(*join.pinned) \
+            if join.pinned is not None else outer.rows()
+        outer_position = outer.column_position(join.outer_column)
+        pairs = []
+        for outer_id, outer_row in outer_rows:
+            for inner_id, inner_row in inner.lookup(
+                    join.inner_column, outer_row[outer_position]):
+                pairs.append((outer_id, outer_row, inner_id, inner_row))
+        if join.swapped:   # back to the FROM list's order
+            pairs.sort(key=lambda pair: (pair[2], pair[0]))
+            return [_Env([(join.inner_alias, inner, inner_row),
+                          (join.outer_alias, outer, outer_row)])
+                    for _, outer_row, _, inner_row in pairs]
+        return [_Env([(join.outer_alias, outer, outer_row),
+                      (join.inner_alias, inner, inner_row)])
+                for _, outer_row, _, inner_row in pairs]
 
     def _project_plain(self, statement: SelectStmt,
                        envs: list[_Env]) -> tuple[list[str],

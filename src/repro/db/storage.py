@@ -69,6 +69,9 @@ class Column:
     primary_key: bool = False
 
 
+_NO_ROWS: frozenset[int] = frozenset()
+
+
 class HashIndex:
     """value -> set of rowids, for one column."""
 
@@ -88,8 +91,8 @@ class HashIndex:
             if not bucket:
                 del self._buckets[value]
 
-    def lookup(self, value: Any) -> set[int]:
-        return self._buckets.get(value, set())
+    def lookup(self, value: Any) -> set[int] | frozenset[int]:
+        return self._buckets.get(value, _NO_ROWS)
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -234,3 +237,23 @@ class Table:
         position = self.column_position(column)
         return [(rowid, row) for rowid, row in self._rows.items()
                 if row[position] == value]
+
+    def first_null(self, column: str, value: Any,
+                   null_column: str) -> tuple[int, list[Any]] | None:
+        """The lowest-rowid row with *column* = *value* whose
+        *null_column* is NULL, or None — through the index when one
+        exists, without materializing the other matching rows."""
+        index = self._indexes.get(column.lower())
+        position = self.column_position(null_column)
+        if index is None:
+            for rowid, row in self.lookup(column, value):
+                if row[position] is None:
+                    return rowid, row
+            return None
+        rows = self._rows
+        found = None
+        for rowid in index.lookup(value):
+            if rows[rowid][position] is None and \
+                    (found is None or rowid < found):
+                found = rowid
+        return None if found is None else (found, rows[found])

@@ -78,12 +78,16 @@ class TimeIndex:
         self._events.append(event)
 
     def _bounds(self, interval: Interval) -> tuple[int, int]:
-        start = (bisect.bisect_left(self._timestamps, interval.low)
-                 if interval.low_inclusive
-                 else bisect.bisect_right(self._timestamps, interval.low))
-        stop = (bisect.bisect_right(self._timestamps, interval.high)
-                if interval.high_inclusive
-                else bisect.bisect_left(self._timestamps, interval.high))
+        return self._slice(interval.low, interval.high,
+                           interval.low_inclusive, interval.high_inclusive)
+
+    def _slice(self, low: float, high: float, low_inclusive: bool,
+               high_inclusive: bool) -> tuple[int, int]:
+        timestamps = self._timestamps
+        start = (bisect.bisect_left(timestamps, low) if low_inclusive
+                 else bisect.bisect_right(timestamps, low))
+        stop = (bisect.bisect_right(timestamps, high) if high_inclusive
+                else bisect.bisect_left(timestamps, high))
         return start, stop
 
     def range(self, interval: Interval) -> list[Event]:
@@ -94,6 +98,13 @@ class TimeIndex:
     def exists(self, interval: Interval) -> bool:
         """True when at least one event lies in *interval*."""
         start, stop = self._bounds(interval)
+        return start < stop
+
+    def exists_between(self, low: float, high: float, low_inclusive: bool,
+                       high_inclusive: bool) -> bool:
+        """:meth:`exists` for the interval with these edges, without
+        building an :class:`Interval` (the negation operator's probe)."""
+        start, stop = self._slice(low, high, low_inclusive, high_inclusive)
         return start < stop
 
     def count(self, interval: Interval) -> int:

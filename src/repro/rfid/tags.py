@@ -9,10 +9,15 @@ corruption are detectable.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 EPC_PREFIX = "EPC"
 _SERIAL_WIDTH = 10
 _CHECK_WIDTH = 2
 EPC_LENGTH = len(EPC_PREFIX) + _SERIAL_WIDTH + _CHECK_WIDTH
+#: Distinct EPC strings :func:`parse_epc` remembers (least recently used
+#: first out), so ghost and truncated reads cannot grow the memo past it.
+EPC_MEMO_SIZE = 4096
 
 
 def _checksum(serial: str) -> int:
@@ -31,10 +36,12 @@ def encode_epc(tag_id: int) -> str:
     return f"{EPC_PREFIX}{serial}{_checksum(serial):0{_CHECK_WIDTH}d}"
 
 
+@lru_cache(maxsize=EPC_MEMO_SIZE)
 def parse_epc(epc: str) -> int | None:
     """The tag id *epc* encodes, or None when it is malformed or its
     checksum fails — one validation pass for callers that need both
-    answers."""
+    answers.  Memoized per EPC string: a store's readers report the same
+    few tags on every scan."""
     if len(epc) != EPC_LENGTH or not epc.startswith(EPC_PREFIX):
         return None
     serial = epc[len(EPC_PREFIX):len(EPC_PREFIX) + _SERIAL_WIDTH]

@@ -777,8 +777,13 @@ class RemoteBackend(_BoundedChannelBackend):
                     (host, port), timeout=_CONNECT_TIMEOUT)
             except OSError:
                 # Transient: nothing listening (yet).  Spawn the
-                # daemon if this endpoint is ours to supervise.
-                if local and not self._process_alive(shard):
+                # daemon if this endpoint is ours to supervise: owned
+                # already, or local with nothing listening at first
+                # start.  An external daemon that went away is waited
+                # for, never replaced.
+                if local and (self._owned[shard]
+                              or not self._connected_once[shard]) \
+                        and not self._process_alive(shard):
                     self._spawn_local_worker(shard)
                 raise
             conn = RemoteConnection(sock)

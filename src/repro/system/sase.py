@@ -10,8 +10,8 @@ whole stack; ``run_simulation`` drives a scripted scenario end to end.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, TYPE_CHECKING
+from collections import deque
+from typing import Callable, Iterable, Mapping, TYPE_CHECKING
 
 from repro.cleaning.pipeline import CleaningConfig, CleaningPipeline
 from repro.core.plan import PlanConfig
@@ -34,36 +34,81 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sharding.config import ShardingConfig
 
 
-@dataclass
+class TapLine:
+    """A default tap line, ``[name] <infix>key=value, ...``, formatted
+    only when a reader asks for it: taps keep their latest ``limit``
+    lines, so most lines recorded are never read."""
+
+    __slots__ = ("name", "infix", "attributes")
+
+    def __init__(self, name: str, infix: str,
+                 attributes: Mapping[str, object]):
+        self.name = name
+        self.infix = infix
+        self.attributes = attributes
+
+    def __str__(self) -> str:
+        attrs = ", ".join(f"{key}={value}" for key, value
+                          in self.attributes.items())
+        return f"[{self.name}] {self.infix}{attrs}"
+
+
 class SystemTaps:
-    """Observation points for the UI (the right-hand panels of Figure 3)."""
+    """Observation points for the UI (the right-hand panels of Figure 3).
 
-    cleaning_output: list[Event] = field(default_factory=list)
-    stream_results: list[tuple[str, CompositeEvent]] = field(
-        default_factory=list)
-    database_reports: list[str] = field(default_factory=list)
-    messages: list[str] = field(default_factory=list)
-    limit: int = 1000
+    Each tap keeps its latest ``limit`` entries.  Messages and database
+    reports may be recorded as :class:`TapLine`; they read back as
+    strings.
+    """
 
-    def _trim(self, items: list) -> None:
-        if len(items) > self.limit:
-            del items[:len(items) - self.limit]
+    _TAPS = ("_cleaning_output", "_stream_results", "_database_reports",
+             "_messages")
+
+    def __init__(self, limit: int = 1000):
+        self._cleaning_output: deque[Event]
+        self._stream_results: deque[tuple[str, CompositeEvent]]
+        self._database_reports: deque[str | TapLine]
+        self._messages: deque[str | TapLine]
+        self.limit = limit
+
+    @property
+    def limit(self) -> int:
+        return self._limit
+
+    @limit.setter
+    def limit(self, limit: int) -> None:
+        """Keep the latest *limit* entries per tap from now on."""
+        self._limit = limit
+        for name in self._TAPS:
+            setattr(self, name, deque(getattr(self, name, ()), maxlen=limit))
+
+    @property
+    def cleaning_output(self) -> list[Event]:
+        return list(self._cleaning_output)
+
+    @property
+    def stream_results(self) -> list[tuple[str, CompositeEvent]]:
+        return list(self._stream_results)
+
+    @property
+    def database_reports(self) -> list[str]:
+        return [str(line) for line in self._database_reports]
+
+    @property
+    def messages(self) -> list[str]:
+        return [str(line) for line in self._messages]
 
     def record_events(self, events: Iterable[Event]) -> None:
-        self.cleaning_output.extend(events)
-        self._trim(self.cleaning_output)
+        self._cleaning_output.extend(events)
 
     def record_result(self, name: str, result: CompositeEvent) -> None:
-        self.stream_results.append((name, result))
-        self._trim(self.stream_results)
+        self._stream_results.append((name, result))
 
-    def record_report(self, text: str) -> None:
-        self.database_reports.append(text)
-        self._trim(self.database_reports)
+    def record_report(self, text: str | TapLine) -> None:
+        self._database_reports.append(text)
 
-    def record_message(self, text: str) -> None:
-        self.messages.append(text)
-        self._trim(self.messages)
+    def record_message(self, text: str | TapLine) -> None:
+        self._messages.append(text)
 
 
 class SaseSystem:
@@ -191,14 +236,11 @@ class SaseSystem:
         if formatter is not None:
             self.taps.record_message(formatter(result))
         else:
-            attrs = ", ".join(f"{key}={value}" for key, value
-                              in result.attributes.items())
-            self.taps.record_message(f"[{name}] {attrs}")
+            self.taps.record_message(TapLine(name, "", result.attributes))
 
     def _on_rule_result(self, name: str, result: CompositeEvent) -> None:
-        attrs = ", ".join(f"{key}={value}" for key, value
-                          in result.attributes.items())
-        self.taps.record_report(f"[{name}] database update: {attrs}")
+        self.taps.record_report(
+            TapLine(name, "database update: ", result.attributes))
         tracer = self.processor.tracer
         if tracer is not None:
             tracer.record("db_write", query=name, ts=result.end,

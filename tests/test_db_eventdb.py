@@ -108,3 +108,56 @@ class TestArchiveAndTrace:
 
     def test_product_info_missing(self, edb):
         assert edb.product_info(12345) is None
+
+
+def first_open_by_rowid(edb: EventDatabase, table: str, column: str,
+                        key: int):
+    """Brute force: the first row of *key* by rowid with no time_out."""
+    for rowid, row in edb.db.table(table).rows():
+        if row[0] == key and row[3] is None:
+            return rowid, row
+    return None
+
+
+class TestOpenRowAccessPath:
+    """The open stay comes from the index bucket's lowest open rowid;
+    it must agree with a scan in rowid order whatever SQL did to the
+    table."""
+
+    def _moves(self, edb):
+        for index, area in enumerate((1, 2, 4, 1, 2)):
+            edb.update_location(100, area, 10.0 * (index + 1))
+            edb.update_location(200, 4 if area == 1 else 1,
+                                10.0 * (index + 1))
+
+    def test_reopened_older_stay_wins(self, edb):
+        self._moves(edb)
+        edb.db.execute("UPDATE locations SET time_out = NULL "
+                       "WHERE tag_id = 100 AND time_in = 20.0")
+        expected = first_open_by_rowid(edb, "locations", "tag_id", 100)
+        assert expected is not None and expected[1][2] == 20.0
+        assert edb._current_location_row(100) == expected
+        assert edb.current_location(100)["area_id"] == 2
+
+    def test_after_delete(self, edb):
+        self._moves(edb)
+        edb.db.execute("UPDATE locations SET time_out = NULL "
+                       "WHERE tag_id = 100 AND time_in = 20.0")
+        edb.db.execute("DELETE FROM locations "
+                       "WHERE tag_id = 100 AND time_in = 20.0")
+        for tag in (100, 200):
+            assert edb._current_location_row(tag) == \
+                first_open_by_rowid(edb, "locations", "tag_id", tag)
+        edb.db.execute("DELETE FROM locations WHERE tag_id = 100")
+        assert edb.current_location(100) is None
+        assert first_open_by_rowid(edb, "locations", "tag_id", 100) is None
+
+    def test_containment_reopened(self, edb):
+        edb.update_containment(100, 900, 1.0)
+        edb.update_containment(100, 901, 2.0)
+        edb.update_containment(100, 902, 3.0)
+        edb.db.execute("UPDATE containment SET time_out = NULL "
+                       "WHERE parent_tag = 900")
+        assert edb._current_containment_row(100) == \
+            first_open_by_rowid(edb, "containment", "child_tag", 100)
+        assert edb.current_containment(100) == 900

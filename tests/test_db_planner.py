@@ -93,3 +93,66 @@ class TestExplainShapes:
 
     def test_non_select_explain(self, db):
         assert db.explain("DROP TABLE t") == ["direct: DropTableStmt"]
+
+
+class TestIndexJoinAccessPath:
+    """The index join narrows its outer side by an indexed constant
+    conjunct and must return exactly the cross product's rows, in the
+    cross product's order."""
+
+    @pytest.fixture
+    def joined(self) -> Database:
+        database = Database()
+        database.execute("CREATE TABLE area (area_id INT PRIMARY KEY, "
+                         "label TEXT)")
+        database.execute("CREATE TABLE stay (tag INT, area_id INT, "
+                         "t FLOAT)")
+        database.execute("CREATE INDEX ON stay (tag)")
+        for area in (3, 1, 2):
+            database.table("area").insert({"area_id": area,
+                                           "label": f"a{area}"})
+        for index in range(60):
+            database.table("stay").insert({
+                "tag": index % 4, "area_id": (index * 7) % 3 + 1,
+                "t": float(index % 5)})
+        database.execute("DELETE FROM stay WHERE t = 4.0")
+        return database
+
+    @pytest.mark.parametrize("tables, join", [
+        ("stay s, area a", "s.area_id = a.area_id"),
+        ("area a, stay s", "a.area_id = s.area_id"),   # outer swapped
+    ])
+    def test_pinned_join_equals_cross_product(self, joined, tables, join):
+        items = "s.tag, s.area_id, s.t, a.label"
+        fast = f"SELECT {items} FROM {tables} WHERE s.tag = 2 AND {join}"
+        # `+ 0` hides the equi-join from the planner: a plain cross
+        # product, filtered row by row.
+        brute = (f"SELECT {items} FROM {tables} "
+                 f"WHERE s.tag = 2 AND s.area_id + 0 = a.area_id")
+        plan = joined.explain(fast)
+        assert plan[0].startswith("index join")
+        assert "outer index lookup on stay.tag = 2" in plan
+        assert not any("index join" in line
+                       for line in joined.explain(brute))
+        rows = joined.query(fast)
+        assert rows and rows == joined.query(brute)
+        ordered = " ORDER BY s.t"
+        assert joined.query(fast + ordered) == joined.query(brute + ordered)
+
+    def test_unpinned_join_equals_cross_product(self, joined):
+        fast = ("SELECT s.tag, a.label FROM area a, stay s "
+                "WHERE a.area_id = s.area_id")
+        brute = ("SELECT s.tag, a.label FROM area a, stay s "
+                 "WHERE a.area_id = s.area_id + 0")
+        assert joined.query(fast) == joined.query(brute)
+
+    def test_explain_does_not_run_the_join(self, joined, monkeypatch):
+        from repro.db.executor import Executor
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("explain executed the join")
+
+        monkeypatch.setattr(Executor, "_index_join", staticmethod(refuse))
+        plan = joined.explain("SELECT s.t FROM stay s, area a "
+                              "WHERE s.area_id = a.area_id")
+        assert plan == ["index join: s with a"]

@@ -19,6 +19,7 @@ from repro.rfid import (
     is_valid_epc,
 )
 from repro.rfid.layout import AreaKind, StoreLayout
+from repro.rfid.tags import EPC_MEMO_SIZE, parse_epc
 
 
 class TestEpc:
@@ -50,6 +51,31 @@ class TestEpc:
     def test_decode_invalid_raises(self):
         with pytest.raises(ValueError):
             decode_epc("garbage")
+
+
+class TestEpcMemo:
+    def test_malformed_reads_never_grow_the_memo_past_its_bound(self):
+        parse_epc.cache_clear()
+        for index in range(EPC_MEMO_SIZE + 500):
+            truncated = f"EPC{index:09d}"      # one serial digit short
+            bad_check = f"EPC{index:010d}99"   # checksums are mod 97
+            assert parse_epc(truncated) is None
+            assert parse_epc(bad_check) is None
+            assert parse_epc.cache_info().currsize <= EPC_MEMO_SIZE
+        assert parse_epc.cache_info().currsize == EPC_MEMO_SIZE
+
+    def test_memo_answers_like_the_parser(self):
+        parse_epc.cache_clear()
+        rng = random.Random(5)
+        noise = NoiseModel(truncate_rate=0.5)
+        for tag_id in range(300):
+            epc = encode_epc(tag_id * 7919)
+            for variant in (epc, epc[:-1], noise.corrupt_epc(epc, rng),
+                            epc.replace("EPC", "XPC")):
+                for _ in range(2):   # first call fills, second hits
+                    assert parse_epc(variant) == \
+                        parse_epc.__wrapped__(variant)
+        assert parse_epc.cache_info().hits >= 4 * 300
 
 
 class TestLayout:

@@ -409,6 +409,38 @@ class TestPartitionDegraded:
         assert lost > 0
 
 
+class TestExternalEndpointNeverSpawned:
+    def test_lost_external_daemon_is_not_replaced_by_a_spawn(
+            self, stream, monkeypatch):
+        # Both endpoints had a daemon listening at first start, so both
+        # are external: losing one must never spawn a local worker in
+        # its place, only reconnect attempts until the budget runs out.
+        spawned = []
+        monkeypatch.setattr(RemoteBackend, "_spawn_local_worker",
+                            lambda backend, shard: spawned.append(shard))
+        monkeypatch.setattr(RemoteBackend, "connect_budget", 0.25)
+        daemons = start_daemons(2)
+        resilience = ResilienceConfig(hang_timeout=1.0, max_restarts=1,
+                                      restart_window=30.0,
+                                      breaker_cooldown=60.0)
+        try:
+            processor = build(stream.registry, remote_config(daemons),
+                              resilience=resilience)
+            for event in stream.events[:100]:
+                processor.feed(event)
+            backend = processor._router._backend
+            daemons[0].shutdown()
+            backend._connections[0].close()
+            for event in stream.events[100:]:
+                processor.feed(event)
+            processor.flush()
+        finally:
+            for daemon in daemons:
+                daemon.shutdown()
+        assert spawned == []
+        assert processor._router.degraded
+
+
 class TestWireLayer:
     def test_framebuffer_reassembles_byte_by_byte(self):
         messages = [("flush", index) for index in range(5)]

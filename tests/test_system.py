@@ -12,6 +12,7 @@ from repro.rfid.simulator import RawReading
 from repro.rfid.tags import encode_epc
 from repro.schemas import retail_registry
 from repro.system import ComplexEventProcessor, QueryKind, SaseSystem
+from repro.system.sase import TapLine
 from repro.workloads import LOCATION_UPDATE_RULE, SHOPLIFTING_QUERY
 
 
@@ -148,3 +149,28 @@ class TestSaseSystem:
             system.taps.record_message(f"m{index}")
         assert len(system.taps.messages) == 5
         assert system.taps.messages[-1] == "m19"
+
+    def test_default_tap_lines_format_when_read(self, monkeypatch):
+        formatted = []
+        real = TapLine.__str__
+
+        def counting(line):
+            formatted.append(line.name)
+            return real(line)
+
+        monkeypatch.setattr(TapLine, "__str__", counting)
+        system = self._system()
+        system.taps.limit = 2
+        system.register_monitoring_query(
+            "shelf", "EVENT SHELF_READING x RETURN x.TagId, x.AreaId")
+        system.register_archiving_rule(
+            "loc", LOCATION_UPDATE_RULE("SHELF_READING"))
+        for index in range(6):
+            system.process_tick(
+                [RawReading(encode_epc(100), "R1", float(index))],
+                now=float(index))
+        assert formatted == []   # six lines per tap recorded, none read
+        assert system.taps.messages == ["[shelf] x_TagId=100, x_AreaId=1"] * 2
+        assert system.taps.database_reports == [
+            "[loc] database update: updateLocation=False"] * 2
+        assert len(formatted) == 4
